@@ -1,7 +1,9 @@
 """Command-line surface: solve, verify, exists, brute, dynamics, reduce, gen.
 
 Exit codes are part of the interface: 0 stable/exists/ok, 1 unstable/absent,
-2 usage or input errors, 3 cycle detected, 4 step limit reached.
+2 usage or input errors, 3 cycle detected, 4 step limit reached, 5 internal
+failure (a failed post-solve check or any other unexpected exception, reported
+as one ``error: internal: ...`` line on stderr, never as a negative answer).
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_CYCLE = 3
 EXIT_STEP_LIMIT = 4
+EXIT_INTERNAL = 5
 
 
 def _read(path: str) -> str:
@@ -332,6 +335,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:  # InternalCheckError included: a bug, not an answer
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -147,9 +147,9 @@ def parse_matching(text: str, game: Game | int) -> Matching:
         take(i, j, lineno)
         take(j, i, lineno)
 
-    missing = [i for i in range(1, n + 1) if i not in assigned]
-    if missing:
-        raise FormatError(f"player {missing[0]} is missing from the matching")
+    for i in range(1, n + 1):
+        if i not in assigned:
+            raise FormatError(f"player {i} is missing from the matching")
     try:
         return Matching(assigned[i] for i in range(1, n + 1))
     except ValueError as exc:

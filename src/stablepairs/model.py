@@ -10,7 +10,11 @@ strictly below everything listed.
 from __future__ import annotations
 
 import random
+import re
+from bisect import bisect_right
 from dataclasses import dataclass, replace
+from itertools import chain, groupby, repeat
+from operator import itemgetter
 
 from .errors import FormatError
 
@@ -18,42 +22,121 @@ ROOMMATE = "roommate"
 MARRIAGE = "marriage"
 
 _SELF_TOKEN = "self"
+#: One item of an entry list: a tie group, a bare token, or a parenthesis
+#: that belongs to no group.
+_ITEM = re.compile(r"\([^()]*\)|[^\s()]+|[()]")
 
 
-@dataclass(frozen=True)
 class PreferenceList:
-    """One player's weak order over potential partners.
+    """One player's weak order over potential partners, compiled into ranks.
 
-    ``tiers`` holds disjoint indifference classes of other players, most
-    preferred first.  ``self_tier`` and ``self_tied`` place the owner's own
-    singleton: tied with the members of ``tiers[self_tier]`` when
-    ``self_tied`` is set, otherwise strictly between ``tiers[self_tier - 1]``
-    and ``tiers[self_tier]`` (so ``self_tier == len(tiers)`` means below all
-    listed players, the default for a plain list of acceptable partners).
+    The constructor takes the order as ``tiers``: disjoint indifference
+    classes of other players, most preferred first.  ``self_tier`` and
+    ``self_tied`` place the owner's own singleton: tied with the members of
+    ``tiers[self_tier]`` when ``self_tied`` is set, otherwise strictly
+    between ``tiers[self_tier - 1]`` and ``tiers[self_tier]`` (so
+    ``self_tier == len(tiers)`` means below all listed players, the default
+    for a plain list of acceptable partners).
+
+    The order is compiled once, at construction, into rank slots numbered
+    from 0 (best): one per tier, plus one for the owner's singleton unless it
+    is tied into a tier.  Unlisted players share ``bottom_rank``, one past
+    the last slot.  The compiled fields are read-only by convention:
+
+    * ``order``: every listed player, best slot first, ids ascending within
+      a slot;
+    * ``ranks``: slot rank of every listed player (and of no one else);
+    * ``self_rank``: slot rank of the owner's singleton;
+    * ``bottom_rank``: rank of every unlisted player;
+    * ``num_acceptable``: how many listed players rank at or above
+      ``self_rank`` (they form a prefix of ``order``).
+
+    Memory is linear in the list length.
     """
 
-    owner: int
-    tiers: tuple[frozenset[int], ...] = ()
-    self_tier: int = 0
-    self_tied: bool = False
+    __slots__ = ("owner", "order", "ranks", "self_rank", "bottom_rank", "num_acceptable")
 
-    def __post_init__(self) -> None:
-        if self.owner < 1:
+    def __init__(
+        self,
+        owner: int,
+        tiers: tuple[frozenset[int], ...] = (),
+        self_tier: int = 0,
+        self_tied: bool = False,
+    ) -> None:
+        if owner < 1:
             raise ValueError("player ids are 1-based")
         seen: set[int] = set()
-        for tier in self.tiers:
+        for tier in tiers:
             if not tier:
                 raise ValueError("empty preference tier")
-            if self.owner in tier:
+            if owner in tier:
                 raise ValueError("owner may not appear in its own tiers")
             if seen & tier:
                 raise ValueError("player listed in more than one tier")
             seen |= tier
-        if self.self_tied:
-            if not 0 <= self.self_tier < len(self.tiers):
+        if self_tied:
+            if not 0 <= self_tier < len(tiers):
                 raise ValueError("self_tier out of range for a tied self")
-        elif not 0 <= self.self_tier <= len(self.tiers):
+        elif not 0 <= self_tier <= len(tiers):
             raise ValueError("self_tier out of range")
+        order: list[int] = []
+        ranks: dict[int, int] = {}
+        num_acceptable = 0
+        for t, tier in enumerate(tiers):
+            members = sorted(tier)
+            order.extend(members)
+            ranks.update(dict.fromkeys(members, t if self_tied or t < self_tier else t + 1))
+            if t < self_tier + self_tied:
+                num_acceptable = len(order)
+        self._set(owner, tuple(order), ranks, self_tier, len(tiers) + (not self_tied), num_acceptable)
+
+    def _set(
+        self,
+        owner: int,
+        order: tuple[int, ...],
+        ranks: dict[int, int],
+        self_rank: int,
+        bottom_rank: int,
+        num_acceptable: int,
+    ) -> None:
+        self.owner = owner
+        self.order = order
+        self.ranks = ranks
+        self.self_rank = self_rank
+        self.bottom_rank = bottom_rank
+        self.num_acceptable = num_acceptable
+
+    @classmethod
+    def _compiled(
+        cls,
+        owner: int,
+        order: tuple[int, ...],
+        ranks: dict[int, int],
+        self_rank: int,
+        bottom_rank: int,
+        num_acceptable: int,
+    ) -> PreferenceList:
+        """Wrap an already compiled order; the caller has validated it."""
+        pl = cls.__new__(cls)
+        pl._set(owner, order, ranks, self_rank, bottom_rank, num_acceptable)
+        return pl
+
+    def _groups(self) -> list[tuple[int, ...]]:
+        return [tuple(g) for _, g in groupby(self.order, self.ranks.__getitem__)]
+
+    @property
+    def tiers(self) -> tuple[frozenset[int], ...]:
+        return tuple(frozenset(g) for g in self._groups())
+
+    @property
+    def self_tier(self) -> int:
+        # Slots before the owner's are exactly the tiers before its own.
+        return self.self_rank
+
+    @property
+    def self_tied(self) -> bool:
+        k = self.num_acceptable
+        return k > 0 and self.ranks[self.order[k - 1]] == self.self_rank
 
     def slots(self) -> tuple[tuple[tuple[int, ...], bool], ...]:
         """Rank slots, best first, as ``(sorted players, includes_self)``.
@@ -62,52 +145,25 @@ class PreferenceList:
         no players.  The implicit bottom tier of unlisted players is not
         included.
         """
-        cached = self.__dict__.get("_slots")
-        if cached is None:
-            out: list[tuple[tuple[int, ...], bool]] = []
-            for t, tier in enumerate(self.tiers):
-                if not self.self_tied and self.self_tier == t:
-                    out.append(((), True))
-                out.append((tuple(sorted(tier)), self.self_tied and self.self_tier == t))
-            if not self.self_tied and self.self_tier == len(self.tiers):
-                out.append(((), True))
-            cached = tuple(out)
-            object.__setattr__(self, "_slots", cached)
-        return cached
-
-    def _table(self) -> tuple[dict[int, int], int, int]:
-        cached = self.__dict__.get("_table_cache")
-        if cached is None:
-            rank: dict[int, int] = {}
-            self_rank = 0
-            slots = self.slots()
-            for r, (players, has_self) in enumerate(slots):
-                for p in players:
-                    rank[p] = r
-                if has_self:
-                    self_rank = r
-            cached = (rank, self_rank, len(slots))
-            object.__setattr__(self, "_table_cache", cached)
-        return cached
-
-    @property
-    def self_rank(self) -> int:
-        return self._table()[1]
-
-    @property
-    def bottom_rank(self) -> int:
-        """Rank shared by every unlisted player; worse than any listed slot."""
-        return self._table()[2]
+        groups = self._groups()
+        if self.self_tied:
+            return tuple((g, t == self.self_rank) for t, g in enumerate(groups))
+        out = [(g, False) for g in groups]
+        out.insert(self.self_rank, ((), True))
+        return tuple(out)
 
     def rank_of(self, j: int) -> int:
         """Numeric rank of player ``j`` (lower is better); ``owner`` ranks as alone."""
-        rank, self_rank, bottom = self._table()
         if j == self.owner:
-            return self_rank
-        return rank.get(j, bottom)
+            return self.self_rank
+        return self.ranks.get(j, self.bottom_rank)
 
     def listed(self) -> frozenset[int]:
-        return frozenset().union(*self.tiers) if self.tiers else frozenset()
+        return frozenset(self.order)
+
+    def up_to(self, rank: int) -> tuple[int, ...]:
+        """Listed players ranked ``rank`` or better, best first (a prefix of ``order``)."""
+        return self.order[: bisect_right(self.order, rank, key=self.ranks.__getitem__)]
 
     def accepts(self, j: int) -> bool:
         """True iff pairing with ``j`` is at least as good as staying alone."""
@@ -127,7 +183,28 @@ class PreferenceList:
         """Push the owner's singleton strictly below any players tied with it."""
         if not self.self_tied:
             return self
-        return replace(self, self_tier=self.self_tier + 1, self_tied=False)
+        s = self.self_rank
+        ranks = {j: r + (r > s) for j, r in self.ranks.items()}
+        return PreferenceList._compiled(
+            self.owner, self.order, ranks, s + 1, self.bottom_rank + 1, self.num_acceptable
+        )
+
+    def _key(self) -> tuple:
+        return (self.owner, self.order, self.self_rank, self.bottom_rank, self.num_acceptable)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PreferenceList):
+            return NotImplemented
+        return self._key() == other._key() and self.ranks == other.ranks
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"PreferenceList(owner={self.owner}, tiers={self.tiers!r}, "
+            f"self_tier={self.self_tier}, self_tied={self.self_tied})"
+        )
 
 
 @dataclass(frozen=True)
@@ -163,17 +240,19 @@ class Game:
                 raise ValueError("women must be numbered m+1..n")
             for pl in self.profile:
                 own_side = pl.owner <= m
-                for j in pl.listed():
-                    if (j <= m) == own_side:
-                        raise ValueError(
-                            f"same-sex entry {j} in list of player {pl.owner}"
-                        )
+                if pl.order and (min(pl.order) <= m if own_side else max(pl.order) > m):
+                    for j in pl.listed():
+                        if (j <= m) == own_side:
+                            raise ValueError(
+                                f"same-sex entry {j} in list of player {pl.owner}"
+                            )
         elif self.men or self.women:
             raise ValueError("roommate games carry no side assignment")
         for pl in self.profile:
-            for j in pl.listed():
-                if not 1 <= j <= self.n:
-                    raise ValueError(f"player id {j} out of range in list of {pl.owner}")
+            if pl.order and (min(pl.order) < 1 or max(pl.order) > self.n):
+                for j in pl.listed():
+                    if not 1 <= j <= self.n:
+                        raise ValueError(f"player id {j} out of range in list of {pl.owner}")
 
     def players(self) -> range:
         return range(1, self.n + 1)
@@ -216,10 +295,12 @@ def raise_preferences(game: Game) -> Game:
 
 def is_mutual(game: Game) -> bool:
     """True iff acceptability is symmetric between every pair of players."""
-    for i in game.players():
-        pi = game.prefs(i)
-        for j in range(i + 1, game.n + 1):
-            if pi.accepts(j) != game.prefs(j).accepts(i):
+    profile = game.profile
+    for pl in profile:
+        i = pl.owner
+        for j in pl.order[: pl.num_acceptable]:
+            pj = profile[j - 1]
+            if pj.ranks.get(i, pj.bottom_rank) > pj.self_rank:
                 return False
     return True
 
@@ -228,16 +309,15 @@ def has_no_unacceptability(game: Game) -> bool:
     """True iff everyone accepts every potential partner.
 
     For marriage games only opposite-sex players count as potential partners
-    (same-sex players are unacceptable by definition).
+    (same-sex players are unacceptable by definition).  Listed players are
+    distinct potential partners, so this is one count comparison per player.
     """
-    for i in game.players():
-        pi = game.prefs(i)
-        for j in game.players():
-            if j == i or game.same_side(i, j):
-                continue
-            if not pi.accepts(j):
-                return False
-    return True
+    if game.kind != MARRIAGE:
+        return all(pl.num_acceptable == game.n - 1 for pl in game.profile)
+    m = game.num_men
+    return all(
+        pl.num_acceptable == (game.n - m if pl.owner <= m else m) for pl in game.profile
+    )
 
 
 @dataclass(frozen=True)
@@ -307,23 +387,24 @@ def random_game(params: GenParams) -> Game:
     for i in range(1, n + 1):
         order = sorted(acceptable[i])
         rng.shuffle(order)
-        tiers: list[frozenset[int]] = []
-        current: list[int] = []
+        runs: list[list[int]] = []
         for j in order:
-            if current and rng.random() < params.tie_probability:
-                current.append(j)
+            if runs and rng.random() < params.tie_probability:
+                runs[-1].append(j)
             else:
-                if current:
-                    tiers.append(frozenset(current))
-                current = [j]
-        if current:
-            tiers.append(frozenset(current))
-        if tiers and rng.random() < params.tie_probability:
-            profile.append(
-                PreferenceList(i, tuple(tiers), self_tier=len(tiers) - 1, self_tied=True)
-            )
-        else:
-            profile.append(PreferenceList(i, tuple(tiers), self_tier=len(tiers)))
+                runs.append([j])
+        tied = bool(runs) and rng.random() < params.tie_probability
+        listed: list[int] = []
+        ranks: dict[int, int] = {}
+        for r, run in enumerate(runs):
+            run.sort()
+            listed.extend(run)
+            for j in run:
+                ranks[j] = r
+        self_rank = len(runs) - 1 if tied else len(runs)
+        profile.append(
+            PreferenceList._compiled(i, tuple(listed), ranks, self_rank, self_rank + 1, len(listed))
+        )
 
     if params.kind == ROOMMATE:
         return Game(n, tuple(profile), ROOMMATE)
@@ -395,14 +476,23 @@ def parse_instance(text: str) -> Game:
         raise FormatError("empty instance: missing header")
     kind = header[0]
 
-    missing = [i for i in range(1, n + 1) if i not in lines]
-    if missing:
-        raise FormatError(f"missing preference line for player {missing[0]}")
+    for i in range(1, n + 1):
+        if i not in lines:
+            raise FormatError(f"missing preference line for player {i}")
 
     profile = []
     for owner in range(1, n + 1):
         lineno, rhs = lines[owner]
-        profile.append(_parse_entries(owner, rhs, n, m if kind == MARRIAGE else 0, lineno))
+        if kind == ROOMMATE:
+            lo, hi = 1, n
+        elif owner <= m:
+            lo, hi = m + 1, n
+        else:
+            lo, hi = 1, m
+        pl = _compile_entries(owner, rhs, lo, hi)
+        if pl is None:
+            pl = _parse_entries(owner, rhs, n, m if kind == MARRIAGE else 0, lineno)
+        profile.append(pl)
 
     if kind == ROOMMATE:
         return Game(n, tuple(profile), ROOMMATE)
@@ -413,6 +503,43 @@ def parse_instance(text: str) -> Game:
         men=frozenset(range(1, m + 1)),
         women=frozenset(range(m + 1, n + 1)),
     )
+
+
+def _compile_entries(owner: int, rhs: str, lo: int, hi: int) -> PreferenceList | None:
+    """Compile one well-formed entry list straight into ranks, or return ``None``.
+
+    Each item of the line (an id, ``self`` or a tie group) is one rank slot.
+    Ids are checked all at once: every one must parse, be distinct, not be
+    ``owner`` and lie in ``lo..hi`` (the owner's potential partners).  On
+    any doubt this returns ``None``, and :func:`_parse_entries`, which checks
+    token by token, reports the first error with its exact message.
+    """
+    items = _ITEM.findall(rhs)
+    if "(" in items or ")" in items:
+        return None  # a nested, unclosed or stray parenthesis
+    sizes = [len(item[1:-1].split()) if item[0] == "(" else 1 for item in items]
+    tokens = rhs.replace("(", " ").replace(")", " ").split()
+    if 0 in sizes or tokens.count(_SELF_TOKEN) > 1:
+        return None  # an empty group, or 'self' twice
+    slot_of = list(chain.from_iterable(map(repeat, range(len(items)), sizes)))
+    if _SELF_TOKEN in tokens:
+        k = tokens.index(_SELF_TOKEN)
+        self_rank = slot_of[k]
+        del tokens[k], slot_of[k]
+        bottom_rank = len(items)
+    else:
+        self_rank, bottom_rank = len(items), len(items) + 1
+    try:
+        ids = list(map(int, tokens))
+    except ValueError:
+        return None
+    ranks = dict(zip(ids, slot_of))
+    if ids and (len(ranks) != len(ids) or owner in ranks or min(ids) < lo or max(ids) > hi):
+        return None
+    if "(" in rhs:  # ids ascending within each tie
+        ids = list(map(itemgetter(1), sorted(zip(slot_of, ids))))
+    num_acceptable = bisect_right(slot_of, self_rank)
+    return PreferenceList._compiled(owner, tuple(ids), ranks, self_rank, bottom_rank, num_acceptable)
 
 
 def _parse_entries(owner: int, rhs: str, n: int, m: int, lineno: int) -> PreferenceList:

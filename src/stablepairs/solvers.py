@@ -59,21 +59,6 @@ class DynamicsTrace:
     cycle_start: int | None = None
 
 
-def _rank_matrix(game: Game) -> list[list[int]]:
-    """Dense rank lookup: ``R[i][j]`` ranks ``j`` for ``i``, ``R[i][i]`` ranks alone."""
-    rows: list[list[int]] = [[0] * (game.n + 1)]
-    for i in game.players():
-        slots = game.prefs(i).slots()
-        row = [len(slots)] * (game.n + 1)
-        for r, (players, has_self) in enumerate(slots):
-            for p in players:
-                row[p] = r
-            if has_self:
-                row[i] = r
-        rows.append(row)
-    return rows
-
-
 def _better_response(game: Game, concept: Concept, bound: int, label: str) -> SolverReport:
     start = time.perf_counter()
     current = Matching.singletons(game.n)
@@ -133,16 +118,9 @@ def gale_shapley(game: Game, proposers: str = "women") -> Matching:
         raise PreconditionError("gale_shapley needs a marriage game")
     if proposers not in ("men", "women"):
         raise ValueError("proposers must be 'men' or 'women'")
-    rank = _rank_matrix(game)
+    profile = game.profile
     side = sorted(game.men if proposers == "men" else game.women)
-    wishlist: dict[int, list[int]] = {}
-    for p in side:
-        liked: list[int] = []
-        for players, has_self in game.prefs(p).slots():
-            if has_self:
-                break
-            liked.extend(players)
-        wishlist[p] = liked
+    wishlist = {p: profile[p - 1].up_to(profile[p - 1].self_rank - 1) for p in side}
     match = [0] * (game.n + 1)
     cursor = dict.fromkeys(side, 0)
     free = deque(side)
@@ -152,14 +130,16 @@ def gale_shapley(game: Game, proposers: str = "women") -> Matching:
         while cursor[p] < len(row):
             q = row[cursor[p]]
             cursor[p] += 1
-            rq = rank[q]
+            pq = profile[q - 1]
+            rq = pq.ranks
+            rank_p = rq.get(p, pq.bottom_rank)
             cur = match[q]
             if cur == 0:
-                if rq[p] < rq[q]:
+                if rank_p < pq.self_rank:
                     match[q] = p
                     match[p] = q
                     break
-            elif (rq[p], p) < (rq[cur], cur):
+            elif (rank_p, p) < (rq.get(cur, pq.bottom_rank), cur):
                 match[cur] = 0
                 free.append(cur)
                 match[q] = p
@@ -229,21 +209,25 @@ def exists_ns_is_roommate_complete(game: Game) -> Matching | None:
         result = Matching(partner)
         _assert_ns(game, result)
         return result
-    rank = _rank_matrix(game)
+    profile = game.profile
     for single in game.players():
-        others = [j for j in game.players() if j != single]
+        # Complete lists rank everyone, so every ranks lookup below hits.
+        # Vertex of player j in the graph without ``single``:
+        vertex = [j - (j > single) for j in range(n + 1)]
+        limit = [0] + [pl.ranks.get(single, 0) for pl in profile]
         edges = []
-        for a_pos, j in enumerate(others):
-            rj = rank[j]
-            for b_pos in range(a_pos + 1, len(others)):
-                k = others[b_pos]
-                if rj[k] <= rj[single] and rank[k][j] <= rank[k][single]:
-                    edges.append((a_pos + 1, b_pos + 1))
+        for pj in profile:
+            j = pj.owner
+            if j == single:
+                continue
+            for k in pj.up_to(limit[j]):
+                if k > j and k != single and profile[k - 1].ranks[j] <= limit[k]:
+                    edges.append((vertex[j], vertex[k]))
         candidate = max_matching(Graph.build(n - 1, edges))
         if 2 * len(candidate) == n - 1:
             partner = list(range(n + 1))
             for u, v in candidate:
-                ju, jv = others[u - 1], others[v - 1]
+                ju, jv = u + (u >= single), v + (v >= single)
                 partner[ju] = jv
                 partner[jv] = ju
             result = Matching(partner[1:])
@@ -385,7 +369,14 @@ def _run_search(
     or ``node_budget``.
     """
     n = game.n
-    rank = _rank_matrix(game)
+    # Dense rank table, rank[i][j] with alone at rank[i][i]: n is small here.
+    rank: list[list[int]] = [[]]
+    for pl in game.profile:
+        row = [pl.bottom_rank] * (n + 1)
+        for j, r in pl.ranks.items():
+            row[j] = r
+        row[pl.owner] = pl.self_rank
+        rank.append(row)
     cand = _pair_candidates(game, concept, rank)
     conflict = _singles_conflict(concept, rank)
     check = _leaf_checker(game, concept, rank)

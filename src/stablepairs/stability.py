@@ -55,9 +55,8 @@ class PairBlockWitness:
 
 def is_individually_rational(game: Game, matching: Matching) -> bool:
     """True iff every player weakly prefers its coalition to being alone."""
-    for i in game.players():
-        pl = game.prefs(i)
-        if pl.rank_of(matching.partner_of(i)) > pl.self_rank:
+    for pl, partner in zip(game.profile, matching.as_tuple()):
+        if pl.rank_of(partner) > pl.self_rank:
             return False
     return True
 
@@ -71,33 +70,45 @@ def find_deviation(
     CNS requires the abandoned partner not to become worse off, CIS requires
     both, NS neither.  The witness is deterministic: smallest mover id, then
     the mover's most preferred target, ties broken by smallest target id with
-    the empty coalition considered last among equally ranked targets.
+    the empty coalition considered last among equally ranked targets.  Each
+    player's scan stops at its current partner's rank, so one call costs
+    O(n + sum of list lengths).
     """
     if concept not in DEVIATION_CONCEPTS:
         raise ValueError(f"{concept} is not a single-player deviation concept")
     need_target_consent = concept in (Concept.IS, Concept.CIS)
     need_left_consent = concept in (Concept.CNS, Concept.CIS)
+    profile = game.profile
+    partner_of = matching.as_tuple()
 
-    for i in game.players():
-        pl = game.prefs(i)
-        partner = matching.partner_of(i)
+    for pl, partner in zip(profile, partner_of):
+        i = pl.owner
+        ranks = pl.ranks
+        self_rank = pl.self_rank
         cur = pl.rank_of(partner)
         if cur == 0:
             continue
         if need_left_consent and partner != i:
-            left = game.prefs(partner)
-            if left.self_rank > left.rank_of(i):
+            left = profile[partner - 1]
+            if left.self_rank > left.ranks.get(i, left.bottom_rank):
                 continue  # the abandoned partner would veto any move
-        for rank, (players, has_self) in enumerate(pl.slots()):
-            if rank >= cur:
+        # Going alone is profitable when being alone ranks above the current
+        # coalition; it comes after every player ranked with or above it.
+        alone = self_rank < cur and partner != i
+        for j in pl.order:
+            r = ranks[j]
+            if r >= cur:
                 break
-            for j in players:
-                if matching.is_single(j):
-                    if need_target_consent and not game.prefs(j).accepts(i):
-                        continue
-                    return DeviationWitness(i, j, concept)
-            if has_self and partner != i:
+            if alone and r > self_rank:
                 return DeviationWitness(i, None, concept)
+            if partner_of[j - 1] == j:
+                if need_target_consent:
+                    target = profile[j - 1]
+                    if target.ranks.get(i, target.bottom_rank) > target.self_rank:
+                        continue
+                return DeviationWitness(i, j, concept)
+        if alone:
+            return DeviationWitness(i, None, concept)
     return None
 
 
@@ -111,24 +122,36 @@ def find_pair_block(
     one strictly.  A player strictly preferring to be alone blocks by itself
     and is reported as the degenerate witness ``(i, i)``.  Scan order is by
     smallest first member, degenerate block first, then second member.
+
+    Only players that ``i`` lists at or above its current rank can block
+    with ``i``: an individually rational ``i`` ranks its coalition at or
+    above being alone, hence above every unlisted player.  So one call costs
+    O(n + sum of list lengths), at most O(n^2).
     """
-    ranks = [None] + [game.prefs(i) for i in game.players()]
+    profile = game.profile
+    partner_of = matching.as_tuple()
     current = [0] * (game.n + 1)
-    for i in game.players():
-        current[i] = ranks[i].rank_of(matching.partner_of(i))
-    for i in game.players():
-        if ranks[i].self_rank < current[i]:
+    for pl, partner in zip(profile, partner_of):
+        current[pl.owner] = pl.rank_of(partner)
+    for pl, partner in zip(profile, partner_of):
+        i = pl.owner
+        cur = current[i]
+        if pl.self_rank < cur:
             return PairBlockWitness(i, i)
-        for j in range(i + 1, game.n + 1):
-            if matching.partner_of(i) == j:
+        ranks = pl.ranks
+        best = None
+        for j in pl.order:
+            a = ranks[j] - cur
+            if a > 0 or (a == 0 and not strict):
+                break
+            if j <= i or j == partner or (best is not None and j > best):
                 continue
-            a = ranks[i].rank_of(j) - current[i]
-            b = ranks[j].rank_of(i) - current[j]
-            if strict:
-                if a <= 0 and b <= 0 and (a < 0 or b < 0):
-                    return PairBlockWitness(i, j)
-            elif a < 0 and b < 0:
-                return PairBlockWitness(i, j)
+            other = profile[j - 1]
+            b = other.ranks.get(i, other.bottom_rank) - current[j]
+            if b < 0 or (strict and b == 0 and a < 0):
+                best = j
+        if best is not None:
+            return PairBlockWitness(i, best)
     return None
 
 

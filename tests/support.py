@@ -2,8 +2,9 @@
 
 Oracles here deliberately avoid the library's optimized code paths: matching
 counts come from the involution recurrence, maximum matchings from plain
-exhaustive search, and stability counts from filtering the unrestricted
-enumeration through the definitional verifiers.
+exhaustive search, stability counts from filtering the unrestricted
+enumeration through the definitional verifiers, and preference ranks from
+the public tier fields alone.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from stablepairs import (
     GenParams,
     Graph,
     Matching,
+    PreferenceList,
     enumerate_matchings,
     is_stable,
     random_game,
@@ -32,6 +34,27 @@ def involution_count(n: int) -> int:
     for m in range(2, n + 1):
         a, b = b, b + (m - 1) * a
     return b
+
+
+def definitional_rank(pl: PreferenceList, j: int) -> int:
+    """Rank of player ``j`` for ``pl``, read off ``tiers``/``self_tier``/``self_tied``.
+
+    Slots are the tiers in order, best first; the owner's singleton is tied
+    into ``tiers[self_tier]`` when ``self_tied``, and otherwise is a slot of
+    its own just before it.  Every unlisted player ranks one past the last
+    slot.
+    """
+    tiers, s, tied = pl.tiers, pl.self_tier, pl.self_tied
+    if j == pl.owner:
+        return s
+    for t, tier in enumerate(tiers):
+        if j in tier:
+            return t if tied or t < s else t + 1
+    return len(tiers) + (0 if tied else 1)
+
+
+def definitional_accepts(pl: PreferenceList, j: int) -> bool:
+    return definitional_rank(pl, j) <= definitional_rank(pl, pl.owner)
 
 
 def random_matching(n: int, rng: random.Random) -> Matching:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from stablepairs import InternalCheckError, cli
 from stablepairs.cli import main
 from support import CYCLIC3
 
@@ -188,3 +189,18 @@ def test_usage_errors(capsys, tmp_path):
     assert code == 2
     code, _, err = run(capsys, "solve", "--concept", "is", __file__)
     assert code == 2  # not an instance file
+
+
+@pytest.mark.parametrize(
+    "error",
+    [InternalCheckError("CNS deviation bound 2n^2: 19 deviations exceed 18"), RecursionError("too deep")],
+)
+def test_internal_failures_exit_5_not_1(capsys, monkeypatch, cyclic3, error):
+    def broken(game):
+        raise error
+
+    monkeypatch.setattr(cli, "compute_cns", broken)
+    code, out, err = run(capsys, "solve", "--concept", "cns", cyclic3)
+    assert code == cli.EXIT_INTERNAL == 5
+    assert out == ""
+    assert err == f"error: internal: {type(error).__name__}: {error}\n"

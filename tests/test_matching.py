@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -42,6 +43,17 @@ def test_parse_accepts_comments_and_reversed_pairs():
 def test_parse_rejects_malformed(text, n):
     with pytest.raises(FormatError):
         parse_matching(text, n)
+
+
+def test_missing_player_fails_fast_on_huge_size():
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match=r"^player 1 is missing from the matching$"):
+            parse_matching("", 10**9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_roundtrip_500_random_matchings():

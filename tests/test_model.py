@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -17,6 +18,7 @@ from stablepairs import (
     random_game,
     serialize_instance,
 )
+from stablepairs.model import _compile_entries, _parse_entries
 from support import CYCLIC3, random_marriage, random_roommate
 
 
@@ -79,6 +81,41 @@ def test_parse_reports_line_numbers():
     with pytest.raises(FormatError) as err:
         parse_instance("roommate 3\n1: 2 3\n2: 3 3\n3:\n")
     assert err.value.line == 3
+
+
+def test_missing_player_line_fails_fast_on_huge_header():
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match=r"^missing preference line for player 1$"):
+            parse_instance("roommate 1000000000\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_whole_line_compiler_agrees_with_token_checker():
+    # The fast path may decline a line (None) but must never accept one the
+    # token-by-token checker rejects, nor compile it differently.
+    rng = random.Random(5)
+    vocab = ["(", ")", "self", "1", "2", "3", "4", "5", "6", "0", "7", "x", "2)", "(3"]
+    declined = 0
+    for _ in range(4000):
+        owner = rng.randint(1, 6)
+        rhs = " ".join(rng.choice(vocab) for _ in range(rng.randint(0, 7)))
+        if rng.random() < 0.3:
+            rhs = rhs.replace(" ", "")
+        for n, m in ((6, 0), (6, 3)):
+            lo, hi = (1, n) if not m else ((m + 1, n) if owner <= m else (1, m))
+            fast = _compile_entries(owner, rhs, lo, hi)
+            try:
+                slow = _parse_entries(owner, rhs, n, m, 1)
+            except FormatError:
+                assert fast is None, rhs
+                continue
+            declined += fast is None
+            assert fast is None or fast == slow, rhs
+    assert declined == 0
 
 
 def test_roundtrip_random_instances():

@@ -1,0 +1,129 @@
+"""The compiled preference form against ranks read off the public tier fields.
+
+Every check compares, for every ordered pair of players, what
+``PreferenceList`` and the game-level predicates compute from the compiled
+form with :func:`support.definitional_rank`.  The 10,000-player test bounds
+memory: compiled preferences must stay linear in the instance size.
+"""
+
+from __future__ import annotations
+
+import tracemalloc
+
+from stablepairs import (
+    Concept,
+    DeviationWitness,
+    Game,
+    Matching,
+    PreferenceList,
+    find_deviation,
+    has_no_unacceptability,
+    is_individually_rational,
+    is_mutual,
+    mmm_to_marriage_ns,
+    mmm_to_roommate_is,
+    parse_instance,
+    raise_preferences,
+)
+from support import (
+    SMALL_GRAPHS,
+    definitional_accepts,
+    definitional_rank,
+    random_marriage,
+    random_roommate,
+)
+
+
+def check_list(pl: PreferenceList, n: int) -> None:
+    rank = {j: definitional_rank(pl, j) for j in range(1, n + 2)}
+    listed = [j for tier in pl.tiers for j in sorted(tier)]
+    assert pl.order == tuple(listed)
+    assert pl.ranks == {j: rank[j] for j in listed}
+    assert pl.self_rank == rank[pl.owner]
+    assert pl.bottom_rank == rank[n + 1]
+    for j in range(1, n + 1):
+        assert pl.rank_of(j) == rank[j]
+        assert pl.accepts(j) == definitional_accepts(pl, j)
+    for r in range(pl.bottom_rank + 1):
+        assert pl.up_to(r) == tuple(j for j in listed if rank[j] <= r)
+    assert pl.num_acceptable == sum(
+        definitional_accepts(pl, j) for j in range(1, n + 1) if j != pl.owner
+    )
+    slots = [(tuple(sorted(tier)), pl.self_tied and t == pl.self_tier) for t, tier in enumerate(pl.tiers)]
+    if not pl.self_tied:
+        slots.insert(pl.self_tier, ((), True))
+    assert pl.slots() == tuple(slots)
+    rebuilt = PreferenceList(pl.owner, pl.tiers, pl.self_tier, pl.self_tied)
+    assert rebuilt == pl and hash(rebuilt) == hash(pl)
+
+
+def check_game(game: Game) -> None:
+    for pl in game.profile:
+        check_list(pl, game.n)
+    players = game.players()
+    complete = all(
+        definitional_accepts(game.prefs(i), j)
+        for i in players
+        for j in players
+        if j != i and not game.same_side(i, j)
+    )
+    mutual = all(
+        definitional_accepts(game.prefs(i), j) == definitional_accepts(game.prefs(j), i)
+        for i in players
+        for j in players
+    )
+    assert has_no_unacceptability(game) == complete
+    assert is_mutual(game) == mutual
+
+
+def test_random_games_raised_and_unraised():
+    for seed in range(240):
+        extra = {"complete": True} if seed % 3 == 0 else {"mutual": seed % 3 == 1}
+        make = random_roommate if seed % 2 else random_marriage
+        game = make(seed, tie_probability=0.5, **extra)
+        check_game(game)
+        check_game(raise_preferences(game))
+
+
+def test_directly_built_lists_round_trip():
+    x = frozenset({7, 8, 9})
+    cases = [
+        (3, (), 0, False),
+        (1, (frozenset({4, 5}), x), 2, False),  # a plain acceptable list
+        (6, (frozenset({1, 2, 3}),), 1, False),  # one tier of everyone
+        (2, (frozenset({3, 4}), frozenset({1})), 2, False),
+        (1, (frozenset({2}), frozenset({5}), frozenset({3})), 1, True),
+        (4, (frozenset({2}), frozenset({5, 6})), 0, False),  # self first
+        (5, (frozenset({2, 3}), frozenset({1})), 0, True),  # tied at the top
+    ]
+    for owner, tiers, self_tier, self_tied in cases:
+        pl = PreferenceList(owner, tiers, self_tier, self_tied)
+        assert (pl.tiers, pl.self_tier, pl.self_tied) == (tiers, self_tier, self_tied)
+        check_list(pl, 10)
+        check_list(pl.raised(), 10)
+
+
+def test_reduction_games():
+    for graph in SMALL_GRAPHS.values():
+        check_game(mmm_to_marriage_ns(graph, 0).game)
+        check_game(mmm_to_roommate_is(graph, 0).game)
+
+
+def test_sparse_10k_roommate_memory_is_linear():
+    n = 10_000
+    text = f"roommate {n}\n" + "".join(
+        f"{i}: {i % n + 1} ( {(i + 1) % n + 1} self )\n" for i in range(1, n + 1)
+    )
+    tracemalloc.start()
+    try:
+        game = parse_instance(text)
+        singles = Matching.singletons(n)
+        # Each player's favourite lists it nowhere above alone: NS moves, IS none.
+        assert find_deviation(game, singles, Concept.NS) == DeviationWitness(1, 2, Concept.NS)
+        assert find_deviation(game, singles, Concept.IS) is None
+        assert is_individually_rational(game, singles)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Dense n x n rank rows would need about 800 MB here.
+    assert peak < 25 * 2**20
