@@ -193,7 +193,10 @@ def test_usage_errors(capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "error",
-    [InternalCheckError("CNS deviation bound 2n^2: 19 deviations exceed 18"), RecursionError("too deep")],
+    [
+        InternalCheckError("CNS deviation bound 2n^2: 19 deviations exceed 18"),
+        RecursionError("maximum recursion depth exceeded"),
+    ],
 )
 def test_internal_failures_exit_5_not_1(capsys, monkeypatch, cyclic3, error):
     def broken(game):
