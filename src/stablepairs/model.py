@@ -10,11 +10,11 @@ strictly below everything listed.
 from __future__ import annotations
 
 import random
-import re
 from bisect import bisect_right
-from dataclasses import dataclass, replace
-from itertools import chain, groupby, repeat
-from operator import itemgetter
+from collections.abc import Mapping
+from dataclasses import dataclass, field, replace
+from itertools import groupby
+from types import MappingProxyType
 
 from .errors import FormatError
 
@@ -22,11 +22,9 @@ ROOMMATE = "roommate"
 MARRIAGE = "marriage"
 
 _SELF_TOKEN = "self"
-#: One item of an entry list: a tie group, a bare token, or a parenthesis
-#: that belongs to no group.
-_ITEM = re.compile(r"\([^()]*\)|[^\s()]+|[()]")
 
 
+@dataclass(frozen=True, init=False, repr=False, slots=True)
 class PreferenceList:
     """One player's weak order over potential partners, compiled into ranks.
 
@@ -41,11 +39,12 @@ class PreferenceList:
     The order is compiled once, at construction, into rank slots numbered
     from 0 (best): one per tier, plus one for the owner's singleton unless it
     is tied into a tier.  Unlisted players share ``bottom_rank``, one past
-    the last slot.  The compiled fields are read-only by convention:
+    the last slot.  The compiled fields are read-only:
 
     * ``order``: every listed player, best slot first, ids ascending within
       a slot;
-    * ``ranks``: slot rank of every listed player (and of no one else);
+    * ``ranks``: slot rank of every listed player (and of no one else), as a
+      read-only mapping;
     * ``self_rank``: slot rank of the owner's singleton;
     * ``bottom_rank``: rank of every unlisted player;
     * ``num_acceptable``: how many listed players rank at or above
@@ -54,7 +53,12 @@ class PreferenceList:
     Memory is linear in the list length.
     """
 
-    __slots__ = ("owner", "order", "ranks", "self_rank", "bottom_rank", "num_acceptable")
+    owner: int
+    order: tuple[int, ...]
+    ranks: Mapping[int, int] = field(hash=False)
+    self_rank: int
+    bottom_rank: int
+    num_acceptable: int
 
     def __init__(
         self,
@@ -99,12 +103,13 @@ class PreferenceList:
         bottom_rank: int,
         num_acceptable: int,
     ) -> None:
-        self.owner = owner
-        self.order = order
-        self.ranks = ranks
-        self.self_rank = self_rank
-        self.bottom_rank = bottom_rank
-        self.num_acceptable = num_acceptable
+        init = object.__setattr__
+        init(self, "owner", owner)
+        init(self, "order", order)
+        init(self, "ranks", MappingProxyType(ranks))
+        init(self, "self_rank", self_rank)
+        init(self, "bottom_rank", bottom_rank)
+        init(self, "num_acceptable", num_acceptable)
 
     @classmethod
     def _compiled(
@@ -120,6 +125,10 @@ class PreferenceList:
         pl = cls.__new__(cls)
         pl._set(owner, order, ranks, self_rank, bottom_rank, num_acceptable)
         return pl
+
+    def __reduce__(self) -> tuple:
+        # The read-only ``ranks`` view does not pickle; rebuild from the tiers.
+        return (PreferenceList, (self.owner, self.tiers, self.self_tier, self.self_tied))
 
     def _groups(self) -> list[tuple[int, ...]]:
         return [tuple(g) for _, g in groupby(self.order, self.ranks.__getitem__)]
@@ -189,17 +198,6 @@ class PreferenceList:
             self.owner, self.order, ranks, s + 1, self.bottom_rank + 1, self.num_acceptable
         )
 
-    def _key(self) -> tuple:
-        return (self.owner, self.order, self.self_rank, self.bottom_rank, self.num_acceptable)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PreferenceList):
-            return NotImplemented
-        return self._key() == other._key() and self.ranks == other.ranks
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
     def __repr__(self) -> str:
         return (
             f"PreferenceList(owner={self.owner}, tiers={self.tiers!r}, "
@@ -240,19 +238,15 @@ class Game:
                 raise ValueError("women must be numbered m+1..n")
             for pl in self.profile:
                 own_side = pl.owner <= m
-                if pl.order and (min(pl.order) <= m if own_side else max(pl.order) > m):
-                    for j in pl.listed():
-                        if (j <= m) == own_side:
-                            raise ValueError(
-                                f"same-sex entry {j} in list of player {pl.owner}"
-                            )
+                for j in pl.order:
+                    if (j <= m) == own_side:
+                        raise ValueError(f"same-sex entry {j} in list of player {pl.owner}")
         elif self.men or self.women:
             raise ValueError("roommate games carry no side assignment")
         for pl in self.profile:
-            if pl.order and (min(pl.order) < 1 or max(pl.order) > self.n):
-                for j in pl.listed():
-                    if not 1 <= j <= self.n:
-                        raise ValueError(f"player id {j} out of range in list of {pl.owner}")
+            for j in pl.order:
+                if not 1 <= j <= self.n:
+                    raise ValueError(f"player id {j} out of range in list of {pl.owner}")
 
     def players(self) -> range:
         return range(1, self.n + 1)
@@ -480,20 +474,10 @@ def parse_instance(text: str) -> Game:
         if i not in lines:
             raise FormatError(f"missing preference line for player {i}")
 
-    profile = []
-    for owner in range(1, n + 1):
-        lineno, rhs = lines[owner]
-        if kind == ROOMMATE:
-            lo, hi = 1, n
-        elif owner <= m:
-            lo, hi = m + 1, n
-        else:
-            lo, hi = 1, m
-        pl = _compile_entries(owner, rhs, lo, hi)
-        if pl is None:
-            pl = _parse_entries(owner, rhs, n, m if kind == MARRIAGE else 0, lineno)
-        profile.append(pl)
-
+    profile = [
+        _parse_entries(owner, *lines[owner], n, m if kind == MARRIAGE else 0)
+        for owner in range(1, n + 1)
+    ]
     if kind == ROOMMATE:
         return Game(n, tuple(profile), ROOMMATE)
     return Game(
@@ -505,71 +489,23 @@ def parse_instance(text: str) -> Game:
     )
 
 
-def _compile_entries(owner: int, rhs: str, lo: int, hi: int) -> PreferenceList | None:
-    """Compile one well-formed entry list straight into ranks, or return ``None``.
+def _parse_entries(owner: int, lineno: int, rhs: str, n: int, m: int) -> PreferenceList:
+    """Check one entry list token by token and compile it straight into ranks.
 
-    Each item of the line (an id, ``self`` or a tie group) is one rank slot.
-    Ids are checked all at once: every one must parse, be distinct, not be
-    ``owner`` and lie in ``lo..hi`` (the owner's potential partners).  On
-    any doubt this returns ``None``, and :func:`_parse_entries`, which checks
-    token by token, reports the first error with its exact message.
+    Each top-level id, tie group and bare ``self`` is one rank slot; ids in
+    a group share the group's slot.  ``m`` is the number of men, 0 for a
+    roommate game.
     """
-    items = _ITEM.findall(rhs)
-    if "(" in items or ")" in items:
-        return None  # a nested, unclosed or stray parenthesis
-    sizes = [len(item[1:-1].split()) if item[0] == "(" else 1 for item in items]
-    tokens = rhs.replace("(", " ").replace(")", " ").split()
-    if 0 in sizes or tokens.count(_SELF_TOKEN) > 1:
-        return None  # an empty group, or 'self' twice
-    slot_of = list(chain.from_iterable(map(repeat, range(len(items)), sizes)))
-    if _SELF_TOKEN in tokens:
-        k = tokens.index(_SELF_TOKEN)
-        self_rank = slot_of[k]
-        del tokens[k], slot_of[k]
-        bottom_rank = len(items)
-    else:
-        self_rank, bottom_rank = len(items), len(items) + 1
-    try:
-        ids = list(map(int, tokens))
-    except ValueError:
-        return None
-    ranks = dict(zip(ids, slot_of))
-    if ids and (len(ranks) != len(ids) or owner in ranks or min(ids) < lo or max(ids) > hi):
-        return None
-    if "(" in rhs:  # ids ascending within each tie
-        ids = list(map(itemgetter(1), sorted(zip(slot_of, ids))))
-    num_acceptable = bisect_right(slot_of, self_rank)
-    return PreferenceList._compiled(owner, tuple(ids), ranks, self_rank, bottom_rank, num_acceptable)
-
-
-def _parse_entries(owner: int, rhs: str, n: int, m: int, lineno: int) -> PreferenceList:
     tokens = rhs.replace("(", " ( ").replace(")", " ) ").split()
-    tiers: list[frozenset[int]] = []
+    # The owner's potential partners are exactly the ids in lo..hi, less itself.
+    lo, hi = (1, n) if not m else (m + 1, n) if owner <= m else (1, m)
+    order: list[int] = []
+    ranks: dict[int, int] = {}  # filled as ids are read, so it also finds duplicates
+    slot = 0  # rank of the slot being read
     group: list[int] | None = None
     group_has_self = False
-    self_tier: int | None = None
-    self_tied = False
-    seen: set[int] = set()
-
-    def add_id(token: str) -> int:
-        try:
-            j = int(token)
-        except ValueError:
-            raise FormatError(f"unexpected token {token!r}", lineno) from None
-        if j == owner:
-            raise FormatError(
-                f"player {owner} lists itself by id; use 'self'", lineno
-            )
-        if not 1 <= j <= n:
-            raise FormatError(f"player id {j} out of range", lineno)
-        if j in seen:
-            raise FormatError(f"duplicate entry {j} in list of player {owner}", lineno)
-        if m and (j <= m) == (owner <= m):
-            raise FormatError(
-                f"same-sex entry {j} in list of player {owner}", lineno
-            )
-        seen.add(j)
-        return j
+    self_rank: int | None = None
+    num_acceptable = 0
 
     for token in tokens:
         if token == "(":
@@ -582,36 +518,52 @@ def _parse_entries(owner: int, rhs: str, n: int, m: int, lineno: int) -> Prefere
                 raise FormatError("')' without matching '('", lineno)
             if not group and not group_has_self:
                 raise FormatError("empty tie group", lineno)
+            group.sort()
+            order.extend(group)
             if group_has_self:
-                if group:
-                    self_tier = len(tiers)
-                    self_tied = True
-                    tiers.append(frozenset(group))
-                else:
-                    self_tier = len(tiers)
-            elif group:
-                tiers.append(frozenset(group))
+                self_rank = slot
+                num_acceptable = len(order)
+            slot += 1
             group = None
         elif token == _SELF_TOKEN:
-            if self_tier is not None or (group is not None and group_has_self):
+            if self_rank is not None or (group is not None and group_has_self):
                 raise FormatError("'self' appears more than once", lineno)
             if group is not None:
                 group_has_self = True
             else:
-                self_tier = len(tiers)
+                self_rank = slot
+                num_acceptable = len(order)
+                slot += 1
         else:
-            j = add_id(token)
+            try:
+                j = int(token)
+            except ValueError:
+                raise FormatError(f"unexpected token {token!r}", lineno) from None
+            if not lo <= j <= hi or j == owner or j in ranks:
+                _reject_id(j, owner, ranks, n, m, lineno)
+            ranks[j] = slot
             if group is not None:
                 group.append(j)
             else:
-                tiers.append(frozenset([j]))
+                order.append(j)
+                slot += 1
 
     if group is not None:
         raise FormatError("unclosed tie group", lineno)
-    if self_tier is None:
-        self_tier = len(tiers)
-        self_tied = False
-    return PreferenceList(owner, tuple(tiers), self_tier, self_tied)
+    if self_rank is None:
+        return PreferenceList._compiled(owner, tuple(order), ranks, slot, slot + 1, len(order))
+    return PreferenceList._compiled(owner, tuple(order), ranks, self_rank, slot, num_acceptable)
+
+
+def _reject_id(j: int, owner: int, ranks: dict[int, int], n: int, m: int, lineno: int) -> None:
+    """Raise the error for an id that is not a fresh potential partner of ``owner``."""
+    if j == owner:
+        raise FormatError(f"player {owner} lists itself by id; use 'self'", lineno)
+    if not 1 <= j <= n:
+        raise FormatError(f"player id {j} out of range", lineno)
+    if j in ranks:
+        raise FormatError(f"duplicate entry {j} in list of player {owner}", lineno)
+    raise FormatError(f"same-sex entry {j} in list of player {owner}", lineno)
 
 
 def serialize_instance(game: Game) -> str:

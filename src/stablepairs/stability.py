@@ -53,9 +53,16 @@ class PairBlockWitness:
     j: int
 
 
+def _partners(game: Game, matching: Matching) -> tuple[int, ...]:
+    """The matching's partner tuple; it must cover exactly the game's players."""
+    if matching.n != game.n:
+        raise ValueError(f"matching has {matching.n} players, the game {game.n}")
+    return matching.as_tuple()
+
+
 def is_individually_rational(game: Game, matching: Matching) -> bool:
     """True iff every player weakly prefers its coalition to being alone."""
-    for pl, partner in zip(game.profile, matching.as_tuple()):
+    for pl, partner in zip(game.profile, _partners(game, matching)):
         if pl.rank_of(partner) > pl.self_rank:
             return False
     return True
@@ -79,7 +86,7 @@ def find_deviation(
     need_target_consent = concept in (Concept.IS, Concept.CIS)
     need_left_consent = concept in (Concept.CNS, Concept.CIS)
     profile = game.profile
-    partner_of = matching.as_tuple()
+    partner_of = _partners(game, matching)
 
     for pl, partner in zip(profile, partner_of):
         i = pl.owner
@@ -129,7 +136,7 @@ def find_pair_block(
     O(n + sum of list lengths), at most O(n^2).
     """
     profile = game.profile
-    partner_of = matching.as_tuple()
+    partner_of = _partners(game, matching)
     current = [0] * (game.n + 1)
     for pl, partner in zip(profile, partner_of):
         current[pl.owner] = pl.rank_of(partner)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import pickle
 import random
 import tracemalloc
 
@@ -18,7 +21,6 @@ from stablepairs import (
     random_game,
     serialize_instance,
 )
-from stablepairs.model import _compile_entries, _parse_entries
 from support import CYCLIC3, random_marriage, random_roommate
 
 
@@ -94,27 +96,6 @@ def test_missing_player_line_fails_fast_on_huge_header():
     assert peak < 2**20
 
 
-def test_whole_line_compiler_agrees_with_token_checker():
-    # The whole-line compiler must decline (None) exactly the lines the
-    # token-by-token checker rejects, and compile every other line the same.
-    rng = random.Random(5)
-    vocab = ["(", ")", "self", "1", "2", "3", "4", "5", "6", "0", "7", "x", "2)", "(3"]
-    for _ in range(4000):
-        owner = rng.randint(1, 6)
-        rhs = " ".join(rng.choice(vocab) for _ in range(rng.randint(0, 7)))
-        if rng.random() < 0.3:
-            rhs = rhs.replace(" ", "")
-        for n, m in ((6, 0), (6, 3)):
-            lo, hi = (1, n) if not m else ((m + 1, n) if owner <= m else (1, m))
-            fast = _compile_entries(owner, rhs, lo, hi)
-            try:
-                slow = _parse_entries(owner, rhs, n, m, 1)
-            except FormatError:
-                assert fast is None, rhs
-                continue
-            assert fast == slow, rhs
-
-
 def test_roundtrip_random_instances():
     for seed in range(120):
         game = random_roommate(seed) if seed % 2 else random_marriage(seed)
@@ -173,6 +154,21 @@ def test_preference_is_total_preorder():
             assert pl.weakly_prefers(x, y) or pl.weakly_prefers(y, x)  # complete
             if pl.weakly_prefers(x, y) and pl.weakly_prefers(y, z):
                 assert pl.weakly_prefers(x, z)  # transitive
+
+
+def test_preference_list_is_immutable():
+    pl = PreferenceList(1, (frozenset({2, 3}), frozenset({4})), 1, True)
+    before = hash(pl)
+    for name in ("owner", "order", "ranks", "self_rank", "bottom_rank", "num_acceptable"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(pl, name, 0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(pl, name)
+    with pytest.raises(TypeError):
+        pl.ranks[2] = 5  # type: ignore[index]
+    assert pl.ranks == {2: 0, 3: 0, 4: 1} and hash(pl) == before
+    for clone in (copy.copy(pl), copy.deepcopy(pl), pickle.loads(pickle.dumps(pl))):
+        assert clone == pl and hash(clone) == before
 
 
 def test_is_mutual_examples():

@@ -146,3 +146,11 @@ def test_find_deviation_rejects_non_deviation_concepts():
     game = parse_instance(CYCLIC3)
     with pytest.raises(ValueError):
         find_deviation(game, Matching.singletons(3), Concept.CORE)
+
+
+@pytest.mark.parametrize("size", [2, 4])
+@pytest.mark.parametrize("concept", list(Concept))
+def test_verifiers_reject_a_matching_of_the_wrong_size(concept, size):
+    game = parse_instance(CYCLIC3)
+    with pytest.raises(ValueError, match=r"^matching has \d players, the game 3$"):
+        is_stable(game, Matching.singletons(size), concept)
