@@ -475,7 +475,7 @@ def parse_instance(text: str) -> Game:
             raise FormatError(f"missing preference line for player {i}")
 
     profile = [
-        _parse_entries(owner, *lines[owner], n, m if kind == MARRIAGE else 0)
+        _parse_entries(owner, *lines[owner], n, m if kind == MARRIAGE else None)
         for owner in range(1, n + 1)
     ]
     if kind == ROOMMATE:
@@ -489,16 +489,18 @@ def parse_instance(text: str) -> Game:
     )
 
 
-def _parse_entries(owner: int, lineno: int, rhs: str, n: int, m: int) -> PreferenceList:
+def _parse_entries(
+    owner: int, lineno: int, rhs: str, n: int, m: int | None
+) -> PreferenceList:
     """Check one entry list token by token and compile it straight into ranks.
 
     Each top-level id, tie group and bare ``self`` is one rank slot; ids in
-    a group share the group's slot.  ``m`` is the number of men, 0 for a
-    roommate game.
+    a group share the group's slot.  ``m`` is the number of men (possibly
+    0), None for a roommate game.
     """
     tokens = rhs.replace("(", " ( ").replace(")", " ) ").split()
     # The owner's potential partners are exactly the ids in lo..hi, less itself.
-    lo, hi = (1, n) if not m else (m + 1, n) if owner <= m else (1, m)
+    lo, hi = (1, n) if m is None else (m + 1, n) if owner <= m else (1, m)
     order: list[int] = []
     ranks: dict[int, int] = {}  # filled as ids are read, so it also finds duplicates
     slot = 0  # rank of the slot being read
@@ -540,7 +542,7 @@ def _parse_entries(owner: int, lineno: int, rhs: str, n: int, m: int) -> Prefere
             except ValueError:
                 raise FormatError(f"unexpected token {token!r}", lineno) from None
             if not lo <= j <= hi or j == owner or j in ranks:
-                _reject_id(j, owner, ranks, n, m, lineno)
+                _reject_id(j, owner, ranks, n, lineno)
             ranks[j] = slot
             if group is not None:
                 group.append(j)
@@ -555,7 +557,7 @@ def _parse_entries(owner: int, lineno: int, rhs: str, n: int, m: int) -> Prefere
     return PreferenceList._compiled(owner, tuple(order), ranks, self_rank, slot, num_acceptable)
 
 
-def _reject_id(j: int, owner: int, ranks: dict[int, int], n: int, m: int, lineno: int) -> None:
+def _reject_id(j: int, owner: int, ranks: dict[int, int], n: int, lineno: int) -> None:
     """Raise the error for an id that is not a fresh potential partner of ``owner``."""
     if j == owner:
         raise FormatError(f"player {owner} lists itself by id; use 'self'", lineno)

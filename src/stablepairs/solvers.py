@@ -12,6 +12,23 @@ affecting which matchings are stable, (a) same-sex pairs in marriage games
 that are not mutually acceptable when the concept implies individual
 rationality, and (c) branches in which two already-final singletons could
 never coexist in a stable matching.
+
+In existence mode (``stop_after == 1``) it also applies (d), symmetry:
+player ``i`` is paired only with the lowest-id undecided member of each
+class of interchangeable players.  Players ``j < j'`` are interchangeable
+when swapping them maps the game to itself: same side, equal self and bottom
+ranks, ``rank[j][j'] == rank[j'][j]``, and equal ranks given to and received
+from every other player.  Two such swaps compose to a third, so this is an
+equivalence relation.  Rule (d) changes neither the answer nor the first
+matching found.  At any node both ``j`` and ``j'`` are undecided, so the swap
+fixes the decided prefix and maps the subtree under ``i-j'`` onto the
+subtree under ``i-j``; every concept and rules (a)-(c) read only ranks and
+sides, which the swap preserves; and the ``i-j`` subtree is searched first,
+so when it holds no stable matching its image holds none either.  Count mode
+(``stop_after=None``) and any larger ``stop_after`` run unreduced, so counts
+stay exact.  This is the lex-leader rule of Crawford, Ginsberg, Luks & Roy,
+"Symmetry-breaking predicates for search problems" (KR 1996), restricted to
+transpositions.
 """
 
 from __future__ import annotations
@@ -356,6 +373,61 @@ def _leaf_checker(game: Game, concept: Concept, rank: list[list[int]]):
     return check
 
 
+def _earlier_twins(game: Game) -> list[int]:
+    """``twin[j]``: the next lower id interchangeable with player ``j``, or 0.
+
+    Two players are interchangeable when swapping their ids maps the game to
+    itself: same side, equal self and bottom ranks, equal ranks of each
+    other, and equal ranks given to and received from every other player.
+    Swaps compose, so this is an equivalence relation.  Players are bucketed
+    by a hash of necessary invariants (side, self and bottom rank, sorted
+    row and column ranks), then checked against the class representatives in
+    their bucket: expected O(n + L) time for ``L`` listed entries.
+    """
+    profile = game.profile
+    men = game.num_men if game.kind == MARRIAGE else game.n
+    listers: list[list[int]] = [[] for _ in range(game.n + 1)]
+    for pl in profile:
+        for j in pl.order:
+            listers[j].append(pl.owner)
+
+    def swappable(r: int, j: int) -> bool:
+        # Equal keys give rows of equal length and columns of equal length.
+        # So once r's entries other than j recur in j's row, and everyone
+        # else who lists r ranks j alike, the rows and columns agree outside
+        # r and j, and the equal multisets make r and j rank each other alike.
+        rr, rj = profile[r - 1].ranks, profile[j - 1].ranks
+        if any(k != j and rj.get(k) != v for k, v in rr.items()):
+            return False
+        return all(
+            k == j or profile[k - 1].ranks.get(j) == profile[k - 1].ranks[r]
+            for k in listers[r]
+        )
+
+    twin = [0] * (game.n + 1)
+    last: dict[int, int] = {}  # class representative -> highest member so far
+    buckets: dict[tuple, list[int]] = {}
+    for pl in profile:
+        j = pl.owner
+        key = (
+            j <= men,
+            pl.self_rank,
+            pl.bottom_rank,
+            tuple(sorted(pl.ranks.values())),
+            tuple(sorted(profile[k - 1].ranks[j] for k in listers[j])),
+        )
+        reps = buckets.setdefault(key, [])
+        for r in reps:
+            if swappable(r, j):
+                twin[j] = last[r]
+                last[r] = j
+                break
+        else:
+            reps.append(j)
+            last[j] = j
+    return twin
+
+
 def _run_search(
     game: Game,
     concept: Concept,
@@ -366,7 +438,9 @@ def _run_search(
 
     Returns ``(first stable matching or None, stable count, exhausted)``;
     ``exhausted`` is False when the search stopped early on ``stop_after``
-    or ``node_budget``.
+    or ``node_budget``.  Every visit to a search position counts as one
+    node, leaves included.  The recursion over players runs on an explicit
+    stack, so the depth is not limited by the interpreter's.
     """
     n = game.n
     # Dense rank table, rank[i][j] with alone at rank[i][i]: n is small here.
@@ -380,61 +454,87 @@ def _run_search(
     cand = _pair_candidates(game, concept, rank)
     conflict = _singles_conflict(concept, rank)
     check = _leaf_checker(game, concept, rank)
+    # Rule (d).  The undecided members of a class always form a suffix of
+    # it, so j is the lowest one exactly when its earlier twin is decided.
+    # Index 0 stands for "no earlier twin" and stays decided.
+    twin = _earlier_twins(game) if stop_after == 1 else [0] * (n + 1)
 
     pi = list(range(n + 1))
-    decided = [False] * (n + 1)
+    decided = [True] + [False] * n
     singles: list[int] = []
     found: tuple[int, ...] | None = None
     count = 0
     nodes = 0
-
-    def at_leaf() -> bool:
-        nonlocal found, count
-        if check(pi, singles):
-            count += 1
-            if found is None:
-                found = tuple(pi[1:])
-            if stop_after is not None and count >= stop_after:
-                return True
-        return False
-
-    def rec(i: int) -> bool:
-        nonlocal nodes
+    # A frame is owned by its branching player i: up[i] is the frame above
+    # (0 above the root) and rest[i] iterates i's untried partners.  j is the
+    # partner of the current frame's latest branch, i itself when alone.
+    i = j = 0
+    untried = None
+    up = [0] * (n + 1)
+    rest: list = [None] * (n + 1)
+    while True:
+        # Visit the node below the current frame's latest branch.
         nodes += 1
         if node_budget is not None and nodes > node_budget:
-            return True
-        while i <= n and decided[i]:
-            i += 1
-        if i > n:
-            return at_leaf()
-        decided[i] = True
-        for j in cand[i]:
-            if not decided[j]:
-                decided[j] = True
-                pi[i] = j
-                pi[j] = i
-                if rec(i + 1):
-                    return True
+            break
+        k = i + 1
+        while k <= n and decided[k]:
+            k += 1
+        if k <= n:
+            decided[k] = True
+            up[k] = i
+            i = k
+            untried = rest[k] = iter(cand[k])
+        else:
+            if check(pi, singles):
+                count += 1
+                if found is None:
+                    found = tuple(pi[1:])
+                if stop_after is not None and count >= stop_after:
+                    break
+            # Undo the branch that led to this leaf.
+            if j != i:
                 decided[j] = False
                 pi[i] = i
                 pi[j] = j
-        viable = True
-        if conflict is not None:
-            for s in singles:
-                if conflict(s, i):
-                    viable = False
+            elif i:
+                singles.pop()
+        # Take the current frame's next branch: a partner, then alone.  A
+        # frame done with its last branch (j == i) hands over to the frame
+        # above, which first undoes its own latest branch.
+        while True:
+            while j == i:
+                decided[i] = False
+                i = up[i]
+                if not i:
+                    return (Matching(found) if found is not None else None), count, True
+                untried = rest[i]
+                j = pi[i]
+                if j != i:
+                    decided[j] = False
+                    pi[i] = i
+                    pi[j] = j
+                else:
+                    singles.pop()
+            for j in untried:
+                if not decided[j] and decided[twin[j]]:
+                    decided[j] = True
+                    pi[i] = j
+                    pi[j] = i
                     break
-        if viable:
-            singles.append(i)
-            if rec(i + 1):
-                return True
-            singles.pop()
-        decided[i] = False
-        return False
-
-    stopped = rec(1)
-    result = Matching(found) if found is not None else None
-    return result, count, not stopped
+            else:
+                j = i
+                viable = True
+                if conflict is not None:
+                    for s in singles:
+                        if conflict(s, i):
+                            viable = False
+                            break
+                if not viable:
+                    continue
+                singles.append(i)
+            break
+    return (Matching(found) if found is not None else None), count, False
 
 
 def brute_force(
@@ -463,7 +563,8 @@ def search_stable(
     """Existence-only brute force with an optional work budget.
 
     Returns ``("found", matching)``, ``("none", None)`` after exhausting the
-    space, or ``("budget", None)`` when the budget ran out undecided.
+    space, or ``("budget", None)`` when the budget ran out undecided.  The
+    budget counts the nodes of the search as reduced by rule (d).
     """
     found, _, exhausted = _run_search(
         game, concept, stop_after=1, node_budget=node_budget

@@ -223,6 +223,26 @@ def test_criterion_07_marriage_ns_reduction_soundness():
     )
 
 
+def test_marriage_ns_reduction_decides_every_small_cell():
+    # Criterion 07 with no cell skipped: every cell decides within the budget.
+    budget = 8_000_000
+    cells = 0
+    undecided = []
+    mismatches = []
+    for name, graph in SMALL_GRAPHS.items():
+        base = mmm_to_marriage_ns(graph, 0)
+        bound = minimum_maximal_matching(base.graph)
+        for k in range(0, base.n + 1):
+            cells += 1
+            status, _ = search_stable(mmm_to_marriage_ns(graph, k).game, Concept.NS, budget)
+            if status == "budget":
+                undecided.append((name, k))
+            elif (status == "found") != (bound <= k):
+                mismatches.append((name, k))
+    assert cells == 51
+    assert not undecided and not mismatches, (undecided, mismatches)
+
+
 def test_criterion_08_roommate_is_reduction_soundness():
     mismatches = []
     cells = 0

@@ -192,6 +192,35 @@ def test_usage_errors(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "header",
+    ["marriage 2 1\n1: 2\n2:\n3:\n", "marriage 0 2\n1: 2\n2:\n"],
+)
+def test_same_sex_entry_error_names_its_line(capsys, tmp_path, header):
+    # with no men, the women's potential partners are the empty range too
+    inst = tmp_path / "samesex.txt"
+    inst.write_text(header)
+    code, out, err = run(capsys, "solve", "--concept", "is", str(inst))
+    assert code == 2 and out == ""
+    assert err == "error: line 2: same-sex entry 2 in list of player 1\n"
+
+
+def test_brute_runs_deeper_than_the_interpreter_stack(capsys, tmp_path):
+    # the search goes one level deeper per player: 3000 levels here
+    code, out, _ = run(
+        capsys, "gen", "roommate", "--n", "3000", "--accept-prob", "0.001", "--seed", "1"
+    )
+    assert code == 0
+    inst = tmp_path / "sparse.txt"
+    inst.write_text(out)
+    code, out, err = run(capsys, "brute", "--concept", "ir", "--cap", "5000", str(inst))
+    assert code == 0 and err == ""
+    matching = tmp_path / "found.txt"
+    matching.write_text(out)
+    code, out, _ = run(capsys, "verify", "--concept", "ir", str(inst), str(matching))
+    assert code == 0 and out.strip() == "STABLE"
+
+
+@pytest.mark.parametrize(
     "error",
     [
         InternalCheckError("CNS deviation bound 2n^2: 19 deviations exceed 18"),

@@ -23,14 +23,18 @@ from stablepairs import (
     gale_shapley,
     is_individually_rational,
     is_stable,
+    mmm_to_marriage_ns,
+    mmm_to_roommate_is,
     parse_instance,
     random_game,
     run_dynamics,
     search_stable,
 )
 from stablepairs.model import GenParams
+from stablepairs.solvers import _earlier_twins
 from support import (
     CYCLIC3,
+    SMALL_GRAPHS,
     naive_stable_count,
     random_marriage,
     random_matching,
@@ -38,6 +42,17 @@ from support import (
 )
 
 ALL_UNACCEPTABLE = "roommate 3\n1:\n2:\n3:\n"
+
+# Players 3, 4 and 5 are clones: equal lists, and everyone ranks them alike.
+CLONES_ROOMMATE = (
+    "roommate 6\n1: ( 3 4 5 ) 2\n2: 1 ( 3 4 5 ) self 6\n"
+    "3: 1 2 6\n4: 1 2 6\n5: 1 2 6\n6: ( 3 4 5 )\n"
+)
+# Men 1, 2 and women 4, 5 are clone pairs; man 3 and woman 6 are not.
+CLONES_MARRIAGE = (
+    "marriage 3 3\n1: ( 4 5 ) 6\n2: ( 4 5 ) 6\n3: 6 ( 4 5 )\n"
+    "4: ( 1 2 ) 3\n5: ( 1 2 ) 3\n6: 3 ( 1 2 )\n"
+)
 
 
 # ---------------------------------------------------------------- cis + ir
@@ -229,6 +244,73 @@ def test_brute_force_matches_unrestricted_enumeration():
             got_first, got_count = brute_force(game, concept)
             assert got_count == expect_count, (seed, concept)
             assert got_first == expect_first, (seed, concept)
+
+
+def test_interchangeable_players_are_found():
+    assert _earlier_twins(parse_instance(CLONES_ROOMMATE)) == [0, 0, 0, 0, 3, 4, 0]
+    assert _earlier_twins(parse_instance(CLONES_MARRIAGE)) == [0, 0, 1, 0, 0, 4, 0]
+    assert _earlier_twins(parse_instance("roommate 2\n1:\n2:\n")) == [0, 0, 1]
+    # not across sides, nor with self placed differently
+    assert not any(_earlier_twins(parse_instance("marriage 1 1\n1:\n2:\n")))
+    game = parse_instance("roommate 4\n1: ( 2 3 )\n2: ( 1 self ) 4\n3: 1 ( 4 self )\n4: ( 2 3 )\n")
+    assert not any(_earlier_twins(game))
+    # all four share one hash key, but no swap maps the cycle to itself
+    assert not any(_earlier_twins(parse_instance("roommate 4\n1: 2\n2: 3\n3: 4\n4: 1\n")))
+    # swapping 1 and 2 would need 3 to rank them alike
+    assert not any(_earlier_twins(parse_instance("roommate 3\n1: 3\n2: 3\n3: 1 2\n")))
+    # 2 and 3 swap only together with their ranks of each other
+    game = parse_instance("roommate 3\n1: ( 2 3 )\n2: 3 1\n3: 2 1\n")
+    assert _earlier_twins(game) == [0, 0, 0, 2]
+    game = parse_instance("roommate 3\n1: ( 2 3 )\n2: 3 1\n3: 1 2\n")
+    assert not any(_earlier_twins(game))
+    # the loner and the fillers of a reduction game
+    artifact = mmm_to_marriage_ns(SMALL_GRAPHS["K2"], 0)
+    twins = _earlier_twins(artifact.game)
+    fillers = sorted(i for i, role in artifact.roles.items() if role.kind == "X")
+    assert [twins[i] for i in fillers] == [0] + fillers[:-1]
+
+
+def _symmetric_games():
+    """Seeded small games, most of them with interchangeable players."""
+    games = [parse_instance(CLONES_ROOMMATE), parse_instance(CLONES_MARRIAGE)]
+    dense = {"tie_probability": 1.0, "acceptability_probability": 0.9}
+    for seed in range(24):
+        ties = 1.0 if seed % 2 else 0.7
+        games.append(random_roommate(seed, max_n=7, **dense))
+        games.append(random_marriage(seed, max_side=4, **dense))
+        games.append(random_roommate(seed, max_n=7, complete=True, tie_probability=ties))
+        games.append(random_marriage(seed, max_side=4, complete=True, tie_probability=ties))
+        side = seed % 7
+        games.append(random_game(GenParams(
+            kind="marriage",
+            n_men=side if seed % 2 else 0,
+            n_women=0 if seed % 2 else side,
+            tie_probability=ties,
+            seed=seed,
+        )))
+    for construction in (mmm_to_marriage_ns, mmm_to_roommate_is):
+        for graph in SMALL_GRAPHS.values():
+            for k in range(construction(graph, 0).n + 1):
+                game = construction(graph, k).game
+                # The naive oracle costs about 1 s per concept at 12 players.
+                if game.n <= 10:
+                    games.append(game)
+    return games
+
+
+def test_existence_search_agrees_with_naive_oracle_under_symmetry():
+    games = _symmetric_games()
+    assert sum(1 for game in games if any(_earlier_twins(game))) >= 2 * len(games) // 3
+    for index, game in enumerate(games):
+        for concept in Concept:
+            expect_first, expect_count = naive_stable_count(game, concept)
+            assert brute_force(game, concept, stop_after=1) == (
+                expect_first, min(expect_count, 1)
+            ), (index, concept)
+            status, found = search_stable(game, concept)
+            assert status == ("none" if expect_first is None else "found"), (index, concept)
+            assert found == expect_first, (index, concept)
+            assert brute_force(game, concept) == (expect_first, expect_count), (index, concept)
 
 
 def test_brute_force_stop_after_and_cap():
