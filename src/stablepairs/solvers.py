@@ -464,7 +464,7 @@ def _run_search(
     singles: list[int] = []
     found: tuple[int, ...] | None = None
     count = 0
-    nodes = 0
+    left = node_budget  # nodes the budget still allows; only counted under a budget
     # A frame is owned by its branching player i: up[i] is the frame above
     # (0 above the root) and rest[i] iterates i's untried partners.  j is the
     # partner of the current frame's latest branch, i itself when alone.
@@ -474,9 +474,10 @@ def _run_search(
     rest: list = [None] * (n + 1)
     while True:
         # Visit the node below the current frame's latest branch.
-        nodes += 1
-        if node_budget is not None and nodes > node_budget:
-            break
+        if left is not None:
+            left -= 1
+            if left < 0:
+                break
         k = i + 1
         while k <= n and decided[k]:
             k += 1
