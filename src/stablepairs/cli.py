@@ -39,8 +39,8 @@ from .stability import (
     DEVIATION_CONCEPTS,
     DeviationWitness,
     find_deviation,
+    find_ir_violator,
     find_pair_block,
-    is_individually_rational,
 )
 
 EXIT_OK = 0
@@ -153,14 +153,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     matching = parse_matching(_read(args.matching), game)
     concept = Concept(args.concept)
     if concept is Concept.IR:
-        if is_individually_rational(game, matching):
+        violator = find_ir_violator(game, matching)
+        if violator is None:
             print("STABLE")
             return EXIT_OK
-        violator = next(
-            i
-            for i in game.players()
-            if game.prefs(i).rank_of(matching.partner_of(i)) > game.prefs(i).self_rank
-        )
         print("UNSTABLE")
         print(f"UNACCEPTABLE player={violator} partner={matching.partner_of(violator)}")
         return EXIT_NEGATIVE

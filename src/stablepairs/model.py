@@ -178,16 +178,6 @@ class PreferenceList:
         """True iff pairing with ``j`` is at least as good as staying alone."""
         return self.rank_of(j) <= self.self_rank
 
-    def likes(self, j: int) -> bool:
-        """True iff pairing with ``j`` beats staying alone strictly."""
-        return self.rank_of(j) < self.self_rank
-
-    def prefers(self, j: int, k: int) -> bool:
-        return self.rank_of(j) < self.rank_of(k)
-
-    def weakly_prefers(self, j: int, k: int) -> bool:
-        return self.rank_of(j) <= self.rank_of(k)
-
     def raised(self) -> PreferenceList:
         """Push the owner's singleton strictly below any players tied with it."""
         if not self.self_tied:
@@ -265,13 +255,6 @@ class Game:
     @property
     def num_women(self) -> int:
         return len(self.women)
-
-    def same_side(self, i: int, j: int) -> bool:
-        """True iff ``i`` and ``j`` are of the same sex (never, for roommates)."""
-        if self.kind != MARRIAGE:
-            return False
-        m = len(self.men)
-        return (i <= m) == (j <= m)
 
 
 def raise_preferences(game: Game) -> Game:

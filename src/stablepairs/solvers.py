@@ -7,11 +7,22 @@ when a proved termination bound is crossed.
 
 The brute-force search enumerates matchings in the documented order of
 :func:`stablepairs.matching.enumerate_matchings` but skips, provably without
-affecting which matchings are stable, (a) same-sex pairs in marriage games
-(such a pair admits a deviation or block under every concept), (b) pairs
-that are not mutually acceptable when the concept implies individual
-rationality, and (c) branches in which two already-final singletons could
-never coexist in a stable matching.
+affecting which matchings are stable, (b) pairs in which one member strictly
+prefers being alone and the other would not veto its leaving, and (c)
+branches in which two already-final singletons could never coexist in a
+stable matching.  Only CNS and CIS know a veto: the abandoned partner's,
+when it strictly prefers the pair to being alone.  Without a veto the
+leaver deviates to the empty coalition (NS, IS, CNS, CIS) or blocks alone
+(IR, core, strict core) whatever the rest of the matching is; for every
+concept but CNS and CIS, (b) keeps exactly the mutually acceptable pairs.
+Rule (b) subsumes rule (a), the skip of same-sex pairs in marriage games:
+such players never list each other, and every player ranks unlisted players
+below being alone, so each would leave the other and neither vetoes.
+
+Each leaf is decided by :func:`stablepairs.stability.is_stable`, so every
+concept has one definition.  IR leaves need no test: under IR, rule (b)
+admits only mutually acceptable pairs, and a single player is always
+individually rational.
 
 In existence mode (``stop_after == 1``) it also applies (d), symmetry:
 player ``i`` is paired only with the lowest-id undecided member of each
@@ -22,8 +33,8 @@ from every other player.  Two such swaps compose to a third, so this is an
 equivalence relation.  Rule (d) changes neither the answer nor the first
 matching found.  At any node both ``j`` and ``j'`` are undecided, so the swap
 fixes the decided prefix and maps the subtree under ``i-j'`` onto the
-subtree under ``i-j``; every concept and rules (a)-(c) read only ranks and
-sides, which the swap preserves; and the ``i-j`` subtree is searched first,
+subtree under ``i-j``; every concept and rules (b) and (c) read only ranks,
+which the swap preserves; and the ``i-j`` subtree is searched first,
 so when it holds no stable matching its image holds none either.  Count mode
 (``stop_after=None``) and any larger ``stop_after`` run unreduced, so counts
 stay exact.  This is the lex-leader rule of Crawford, Ginsberg, Luks & Roy,
@@ -51,9 +62,9 @@ from .stability import (
     Concept,
     DEVIATION_CONCEPTS,
     DeviationWitness,
-    IR_IMPLYING_CONCEPTS,
     find_deviation,
     is_individually_rational,
+    is_stable,
 )
 
 
@@ -258,17 +269,24 @@ def _assert_ns(game: Game, matching: Matching) -> None:
         raise InternalCheckError("constructed matching failed NS verification")
 
 
-def _pair_candidates(game: Game, concept: Concept, rank: list[list[int]]) -> list[list[int]]:
-    restrict_ir = concept in IR_IMPLYING_CONCEPTS
-    cand: list[list[int]] = [[] for _ in range(game.n + 1)]
-    for i in game.players():
-        ri = rank[i]
-        for j in range(i + 1, game.n + 1):
-            if game.same_side(i, j):
-                continue
-            if restrict_ir and not (ri[j] <= ri[i] and rank[j][i] <= rank[j][j]):
-                continue
-            cand[i].append(j)
+def _pair_candidates(concept: Concept, rank: list[list[int]]) -> list[list[int]]:
+    """Rule (b): ``cand[i]`` lists the players ``j > i`` that ``i`` may pair with.
+
+    A pair is kept when both members weakly prefer it to being alone, and
+    under CNS and CIS also when one member strictly prefers it to being
+    alone, since that member vetoes the other's leaving.
+    """
+    vetoes = concept in (Concept.CNS, Concept.CIS)
+    n = len(rank) - 1
+    alone = [row[i] if i else 0 for i, row in enumerate(rank)]
+    cand: list[list[int]] = [[] for _ in range(n + 1)]
+    for i in range(1, n + 1):
+        ri, si, ci = rank[i], alone[i], cand[i]
+        for j in range(i + 1, n + 1):
+            if (ri[j] <= si and rank[j][i] <= alone[j]) or (
+                vetoes and (ri[j] < si or rank[j][i] < alone[j])
+            ):
+                ci.append(j)
     return cand
 
 
@@ -301,76 +319,6 @@ def _singles_conflict(concept: Concept, rank: list[list[int]]):
             return a <= 0 and b <= 0 and (a < 0 or b < 0)
 
     return conflict
-
-
-def _leaf_checker(game: Game, concept: Concept, rank: list[list[int]]):
-    players = range(1, game.n + 1)
-
-    if concept is Concept.IR:
-
-        def check(pi: list[int], singles: list[int]) -> bool:
-            for i in players:
-                if rank[i][pi[i]] > rank[i][i]:
-                    return False
-            return True
-
-    elif concept in (Concept.NS, Concept.CNS):
-        contractual = concept is Concept.CNS
-
-        def check(pi: list[int], singles: list[int]) -> bool:
-            for i in players:
-                partner = pi[i]
-                if contractual and partner != i and rank[partner][partner] > rank[partner][i]:
-                    continue  # the abandoned partner vetoes every move
-                ri = rank[i]
-                cur = ri[partner]
-                if ri[i] < cur:
-                    return False
-                for s in singles:
-                    if s != i and ri[s] < cur:
-                        return False
-            return True
-
-    elif concept in (Concept.IS, Concept.CIS):
-        contractual = concept is Concept.CIS
-
-        def check(pi: list[int], singles: list[int]) -> bool:
-            for i in players:
-                partner = pi[i]
-                if contractual and partner != i and rank[partner][partner] > rank[partner][i]:
-                    continue
-                ri = rank[i]
-                cur = ri[partner]
-                if ri[i] < cur:
-                    return False
-                for s in singles:
-                    if s != i and ri[s] < cur and rank[s][i] <= rank[s][s]:
-                        return False
-            return True
-
-    else:  # core / strict core, including degenerate one-player blocks
-        strict = concept is Concept.STRICT_CORE
-
-        def check(pi: list[int], singles: list[int]) -> bool:
-            n = game.n
-            for i in players:
-                ri = rank[i]
-                cur_i = ri[pi[i]]
-                if ri[i] < cur_i:
-                    return False
-                for j in range(i + 1, n + 1):
-                    if pi[i] == j:
-                        continue
-                    a = ri[j] - cur_i
-                    b = rank[j][i] - rank[j][pi[j]]
-                    if strict:
-                        if a <= 0 and b <= 0 and (a < 0 or b < 0):
-                            return False
-                    elif a < 0 and b < 0:
-                        return False
-            return True
-
-    return check
 
 
 def _earlier_twins(game: Game) -> list[int]:
@@ -451,9 +399,9 @@ def _run_search(
             row[j] = r
         row[pl.owner] = pl.self_rank
         rank.append(row)
-    cand = _pair_candidates(game, concept, rank)
+    cand = _pair_candidates(concept, rank)
     conflict = _singles_conflict(concept, rank)
-    check = _leaf_checker(game, concept, rank)
+    ir = concept is Concept.IR
     # Rule (d).  The undecided members of a class always form a suffix of
     # it, so j is the lowest one exactly when its earlier twin is decided.
     # Index 0 stands for "no earlier twin" and stays decided.
@@ -487,7 +435,7 @@ def _run_search(
             i = k
             untried = rest[k] = iter(cand[k])
         else:
-            if check(pi, singles):
+            if ir or is_stable(game, Matching(pi[1:]), concept):
                 count += 1
                 if found is None:
                     found = tuple(pi[1:])
@@ -565,7 +513,10 @@ def search_stable(
 
     Returns ``("found", matching)``, ``("none", None)`` after exhausting the
     space, or ``("budget", None)`` when the budget ran out undecided.  The
-    budget counts the nodes of the search as reduced by rule (d).
+    budget counts the nodes of the search as reduced by rules (b)-(d).
+    Under CNS and CIS, rule (b) also drops cross-side pairs that one member
+    would leave unvetoed, so fewer nodes are counted there than an unpruned
+    cross-side search would visit.
     """
     found, _, exhausted = _run_search(
         game, concept, stop_after=1, node_budget=node_budget

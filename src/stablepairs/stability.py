@@ -29,12 +29,6 @@ class Concept(Enum):
 
 DEVIATION_CONCEPTS = frozenset({Concept.NS, Concept.IS, Concept.CNS, Concept.CIS})
 
-#: Concepts whose stable matchings are always individually rational, so the
-#: search space may be restricted to mutually acceptable pairs.
-IR_IMPLYING_CONCEPTS = frozenset(
-    {Concept.IR, Concept.NS, Concept.IS, Concept.CORE, Concept.STRICT_CORE}
-)
-
 
 @dataclass(frozen=True)
 class DeviationWitness:
@@ -60,12 +54,17 @@ def _partners(game: Game, matching: Matching) -> tuple[int, ...]:
     return matching.as_tuple()
 
 
-def is_individually_rational(game: Game, matching: Matching) -> bool:
-    """True iff every player weakly prefers its coalition to being alone."""
+def find_ir_violator(game: Game, matching: Matching) -> int | None:
+    """The lowest-id player who strictly prefers being alone, or ``None``."""
     for pl, partner in zip(game.profile, _partners(game, matching)):
         if pl.rank_of(partner) > pl.self_rank:
-            return False
-    return True
+            return pl.owner
+    return None
+
+
+def is_individually_rational(game: Game, matching: Matching) -> bool:
+    """True iff every player weakly prefers its coalition to being alone."""
+    return find_ir_violator(game, matching) is None
 
 
 def find_deviation(

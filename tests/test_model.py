@@ -27,8 +27,8 @@ from support import CYCLIC3, random_marriage, random_roommate
 def test_parse_two_player_mutual_top():
     game = parse_instance("roommate 2\n1: 2\n2: 1\n")
     assert game.n == 2
-    assert game.prefs(1).likes(2)
-    assert game.prefs(2).likes(1)
+    assert game.prefs(1).rank_of(2) < game.prefs(1).self_rank
+    assert game.prefs(2).rank_of(1) < game.prefs(2).self_rank
 
 
 def test_parse_tie_groups_and_self():
@@ -37,7 +37,7 @@ def test_parse_tie_groups_and_self():
     assert pl.rank_of(2) == 0
     assert pl.rank_of(3) == pl.self_rank == 1
     assert pl.rank_of(4) == 2  # listed below self: ranked but unacceptable
-    assert pl.accepts(3) and not pl.likes(3)
+    assert pl.accepts(3) and pl.rank_of(3) >= pl.self_rank
     assert not pl.accepts(4)
     # unlisted players sit strictly below everything listed
     empty = game.prefs(3)
@@ -48,7 +48,7 @@ def test_parse_tie_groups_and_self():
 def test_parse_bare_self_midway():
     game = parse_instance("roommate 3\n1: 2 self 3\n2: 1\n3: 1\n")
     pl = game.prefs(1)
-    assert pl.likes(2)
+    assert pl.rank_of(2) < pl.self_rank
     assert pl.rank_of(3) > pl.self_rank
 
 
@@ -137,7 +137,8 @@ def test_raise_preserves_order_and_is_idempotent():
                 continue
             before = game.prefs(i)
             after = raised.prefs(i)
-            assert before.weakly_prefers(j, k) == after.weakly_prefers(j, k)
+            weak_before = before.rank_of(j) <= before.rank_of(k)
+            assert weak_before == (after.rank_of(j) <= after.rank_of(k))
             if before.rank_of(j) == before.self_rank and j != i:
                 assert after.rank_of(j) < after.self_rank
 
@@ -150,10 +151,11 @@ def test_preference_is_total_preorder():
             i = rng.randint(1, game.n)
             pl = game.prefs(i)
             x, y, z = (rng.randint(1, game.n) for _ in range(3))
-            assert pl.weakly_prefers(x, x)  # reflexive
-            assert pl.weakly_prefers(x, y) or pl.weakly_prefers(y, x)  # complete
-            if pl.weakly_prefers(x, y) and pl.weakly_prefers(y, z):
-                assert pl.weakly_prefers(x, z)  # transitive
+            rx, ry, rz = pl.rank_of(x), pl.rank_of(y), pl.rank_of(z)
+            assert rx <= rx  # reflexive
+            assert rx <= ry or ry <= rx  # complete
+            if rx <= ry and ry <= rz:
+                assert rx <= rz  # transitive
 
 
 def test_preference_list_is_immutable():

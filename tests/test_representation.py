@@ -61,11 +61,12 @@ def check_game(game: Game) -> None:
     for pl in game.profile:
         check_list(pl, game.n)
     players = game.players()
+    m = game.num_men
     complete = all(
         definitional_accepts(game.prefs(i), j)
         for i in players
         for j in players
-        if j != i and not game.same_side(i, j)
+        if j != i and not (game.is_marriage and (i <= m) == (j <= m))
     )
     mutual = all(
         definitional_accepts(game.prefs(i), j) == definitional_accepts(game.prefs(j), i)

@@ -53,6 +53,18 @@ CLONES_MARRIAGE = (
     "marriage 3 3\n1: ( 4 5 ) 6\n2: ( 4 5 ) 6\n3: 6 ( 4 5 )\n"
     "4: ( 1 2 ) 3\n5: ( 1 2 ) 3\n6: 3 ( 1 2 )\n"
 )
+# Edge cases of search rule (b), which drops a pair that one member would
+# leave for being alone unless the other vetoes (under CNS and CIS only).
+RULE_B_EDGES = (
+    "roommate 2\n1: 2\n2:\n",  # 1 vetoes 2's leaving: {1,2} is CNS-stable
+    "roommate 3\n1: 2 3\n2:\n3: 1\n",  # a vetoed pair next to an IR one
+    "roommate 3\n1: 3\n2: 3\n3: 1 2\n",  # 1 and 2 are mutually unacceptable
+    "roommate 3\n1: ( 2 self )\n2: 1 3\n3: ( 2 self )\n",  # ties with being alone
+    "roommate 2\n1: ( 2 self )\n2:\n",  # 2 leaves, and 1, tied, does not veto
+    "marriage 0 3\n1:\n2:\n3:\n",  # an empty side: every pair is same-sex
+    "marriage 3 0\n1:\n2:\n3:\n",
+    "marriage 2 2\n1: 3 self 4\n2: 4\n3: 2 1\n4: 1\n",
+)
 
 
 # ---------------------------------------------------------------- cis + ir
@@ -237,13 +249,17 @@ def test_brute_force_examples():
 
 def test_brute_force_matches_unrestricted_enumeration():
     # the optimized search must agree with filtering the full enumeration
-    for seed in range(120):
-        game = random_roommate(seed, max_n=6) if seed % 2 else random_marriage(seed, max_side=3)
+    games = [
+        random_roommate(seed, max_n=6) if seed % 2 else random_marriage(seed, max_side=3)
+        for seed in range(120)
+    ]
+    games += [parse_instance(text) for text in RULE_B_EDGES]
+    for k, game in enumerate(games):
         for concept in Concept:
             expect_first, expect_count = naive_stable_count(game, concept)
             got_first, got_count = brute_force(game, concept)
-            assert got_count == expect_count, (seed, concept)
-            assert got_first == expect_first, (seed, concept)
+            assert got_count == expect_count, (k, concept)
+            assert got_first == expect_first, (k, concept)
 
 
 def test_interchangeable_players_are_found():

@@ -112,7 +112,7 @@ def test_witnesses_replay_to_strict_improvement():
                 continue
             after = replay(m, w)
             pl = game.prefs(w.mover)
-            assert pl.prefers(after.partner_of(w.mover), m.partner_of(w.mover))
+            assert pl.rank_of(after.partner_of(w.mover)) < pl.rank_of(m.partner_of(w.mover))
             if concept in (Concept.IS, Concept.CIS) and w.target is not None:
                 assert game.prefs(w.target).accepts(w.mover)
             old_partner = m.partner_of(w.mover)
