@@ -59,7 +59,6 @@ from .stability import (
     find_pair_block,
     is_individually_rational,
     is_stable,
-    replay,
 )
 
 __all__ = [
@@ -106,7 +105,6 @@ __all__ = [
     "parse_matching",
     "raise_preferences",
     "random_game",
-    "replay",
     "run_dynamics",
     "search_stable",
     "serialize_graph",

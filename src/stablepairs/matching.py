@@ -53,9 +53,6 @@ class Matching:
     def partner_of(self, i: int) -> int:
         return self._partner[i - 1]
 
-    def is_single(self, i: int) -> bool:
-        return self._partner[i - 1] == i
-
     def pairs(self) -> list[tuple[int, int]]:
         return [(i, j) for i, j in enumerate(self._partner, 1) if i < j]
 

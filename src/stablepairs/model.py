@@ -167,16 +167,9 @@ class PreferenceList:
             return self.self_rank
         return self.ranks.get(j, self.bottom_rank)
 
-    def listed(self) -> frozenset[int]:
-        return frozenset(self.order)
-
     def up_to(self, rank: int) -> tuple[int, ...]:
         """Listed players ranked ``rank`` or better, best first (a prefix of ``order``)."""
         return self.order[: bisect_right(self.order, rank, key=self.ranks.__getitem__)]
-
-    def accepts(self, j: int) -> bool:
-        """True iff pairing with ``j`` is at least as good as staying alone."""
-        return self.rank_of(j) <= self.self_rank
 
     def raised(self) -> PreferenceList:
         """Push the owner's singleton strictly below any players tied with it."""
@@ -328,6 +321,10 @@ def random_game(params: GenParams) -> Game:
         raise ValueError("acceptability_probability must lie in [0, 1]")
     if min(params.n, params.n_men, params.n_women) < 0:
         raise ValueError("player counts must be non-negative")
+    if params.kind == MARRIAGE and params.n:
+        raise ValueError("n sizes a roommate game; a marriage game takes n_men and n_women")
+    if params.kind == ROOMMATE and (params.n_men or params.n_women):
+        raise ValueError("n_men and n_women size a marriage game; a roommate game takes n")
 
     rng = random.Random(params.seed)
     if params.kind == ROOMMATE:

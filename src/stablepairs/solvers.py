@@ -17,7 +17,10 @@ leaver deviates to the empty coalition (NS, IS, CNS, CIS) or blocks alone
 concept but CNS and CIS, (b) keeps exactly the mutually acceptable pairs.
 Rule (b) subsumes rule (a), the skip of same-sex pairs in marriage games:
 such players never list each other, and every player ranks unlisted players
-below being alone, so each would leave the other and neither vetoes.
+below being alone, so each would leave the other and neither vetoes.  Both
+rules are tabulated once, before the search, in one O(n + L) pass over the
+compiled ranks (``L`` listed entries); the search keeps no dense rank table,
+and its loop reads no rank outside the leaf test.
 
 Each leaf is decided by :func:`stablepairs.stability.is_stable`, so every
 concept has one definition.  IR leaves need no test: under IR, rule (b)
@@ -269,56 +272,51 @@ def _assert_ns(game: Game, matching: Matching) -> None:
         raise InternalCheckError("constructed matching failed NS verification")
 
 
-def _pair_candidates(concept: Concept, rank: list[list[int]]) -> list[list[int]]:
-    """Rule (b): ``cand[i]`` lists the players ``j > i`` that ``i`` may pair with.
+def _prune_tables(game: Game, concept: Concept) -> tuple[list[list[int]], list[set[int]]]:
+    """Rules (b) and (c) for every pair, in one O(n + L) pass over the ranks.
 
-    A pair is kept when both members weakly prefer it to being alone, and
-    under CNS and CIS also when one member strictly prefers it to being
-    alone, since that member vetoes the other's leaving.
+    For a pair ``i, j`` let ``a`` and ``b`` be each member's rank of the
+    other minus its own self rank.  Rule (b) keeps the pair in ``cand[i]``
+    (``i < j``, ascending) when both weakly prefer it to being alone, and
+    under CNS and CIS also when one strictly does, since that member vetoes
+    the other's leaving.  Rule (c) puts ``j`` in ``clash[i]`` and ``i`` in
+    ``clash[j]`` when the two cannot both stay single: under NS and CNS one
+    would join the other; under IS and CIS one would, and be accepted; under
+    core both would be strictly better off together; under strict core both
+    weakly and one strictly.  Both rules need ``a <= 0`` or ``b <= 0``, so
+    each player walks only the prefix of its ``order`` it ranks at or above
+    being alone.
     """
     vetoes = concept in (Concept.CNS, Concept.CIS)
-    n = len(rank) - 1
-    alone = [row[i] if i else 0 for i, row in enumerate(rank)]
-    cand: list[list[int]] = [[] for _ in range(n + 1)]
-    for i in range(1, n + 1):
-        ri, si, ci = rank[i], alone[i], cand[i]
-        for j in range(i + 1, n + 1):
-            if (ri[j] <= si and rank[j][i] <= alone[j]) or (
-                vetoes and (ri[j] < si or rank[j][i] < alone[j])
-            ):
-                ci.append(j)
-    return cand
-
-
-def _singles_conflict(concept: Concept, rank: list[list[int]]):
-    """Predicate telling when two final singletons rule out stability."""
-    if concept is Concept.IR:
-        return None
     if concept in (Concept.NS, Concept.CNS):
-
-        def conflict(s: int, j: int) -> bool:
-            return rank[s][j] < rank[s][s] or rank[j][s] < rank[j][j]
-
+        clashes = lambda a, b: a < 0 or b < 0
     elif concept in (Concept.IS, Concept.CIS):
-
-        def conflict(s: int, j: int) -> bool:
-            a = rank[s][j] - rank[s][s]
-            b = rank[j][s] - rank[j][j]
-            return (a < 0 and b <= 0) or (b < 0 and a <= 0)
-
+        clashes = lambda a, b: (a < 0 and b <= 0) or (b < 0 and a <= 0)
     elif concept is Concept.CORE:
-
-        def conflict(s: int, j: int) -> bool:
-            return rank[s][j] < rank[s][s] and rank[j][s] < rank[j][j]
-
-    else:  # strict core
-
-        def conflict(s: int, j: int) -> bool:
-            a = rank[s][j] - rank[s][s]
-            b = rank[j][s] - rank[j][j]
-            return a <= 0 and b <= 0 and (a < 0 or b < 0)
-
-    return conflict
+        clashes = lambda a, b: a < 0 and b < 0
+    elif concept is Concept.STRICT_CORE:
+        clashes = lambda a, b: a <= 0 and b <= 0 and (a < 0 or b < 0)
+    else:  # IR
+        clashes = None
+    profile = game.profile
+    cand: list[list[int]] = [[] for _ in range(game.n + 1)]
+    clash: list[set[int]] = [set() for _ in range(game.n + 1)]
+    for pl in profile:
+        i, ranks, alone = pl.owner, pl.ranks, pl.self_rank
+        for j in pl.order[: pl.num_acceptable]:
+            pj = profile[j - 1]
+            a = ranks[j] - alone
+            b = pj.ranks.get(i, pj.bottom_rank) - pj.self_rank
+            if b <= 0 and j < i:
+                continue  # j accepts i too, so j's walk covers the pair
+            if (a <= 0 and b <= 0) or (vetoes and (a < 0 or b < 0)):
+                cand[min(i, j)].append(max(i, j))
+            if clashes is not None and clashes(a, b):
+                clash[i].add(j)
+                clash[j].add(i)
+    for row in cand:
+        row.sort()
+    return cand, clash
 
 
 def _earlier_twins(game: Game) -> list[int]:
@@ -388,19 +386,13 @@ def _run_search(
     ``exhausted`` is False when the search stopped early on ``stop_after``
     or ``node_budget``.  Every visit to a search position counts as one
     node, leaves included.  The recursion over players runs on an explicit
-    stack, so the depth is not limited by the interpreter's.
+    stack, so the depth is not limited by the interpreter's.  Rules (b) and
+    (c) come from :func:`_prune_tables`, so set-up is O(n + L) in time and
+    memory for ``L`` listed entries; the loop reads no rank outside the leaf
+    test.
     """
     n = game.n
-    # Dense rank table, rank[i][j] with alone at rank[i][i]: n is small here.
-    rank: list[list[int]] = [[]]
-    for pl in game.profile:
-        row = [pl.bottom_rank] * (n + 1)
-        for j, r in pl.ranks.items():
-            row[j] = r
-        row[pl.owner] = pl.self_rank
-        rank.append(row)
-    cand = _pair_candidates(concept, rank)
-    conflict = _singles_conflict(concept, rank)
+    cand, clash = _prune_tables(game, concept)
     ir = concept is Concept.IR
     # Rule (d).  The undecided members of a class always form a suffix of
     # it, so j is the lowest one exactly when its earlier twin is decided.
@@ -473,13 +465,7 @@ def _run_search(
                     break
             else:
                 j = i
-                viable = True
-                if conflict is not None:
-                    for s in singles:
-                        if conflict(s, i):
-                            viable = False
-                            break
-                if not viable:
+                if clash[i] and not clash[i].isdisjoint(singles):
                     continue
                 singles.append(i)
             break
@@ -540,6 +526,8 @@ def run_dynamics(
         raise ValueError(f"{concept} is not a single-player deviation concept")
     if initial.n != game.n:
         raise ValueError("initial matching does not fit the game")
+    if max_steps < 0:
+        raise ValueError("max_steps must be non-negative")
     current = initial
     seen = {initial: 0}
     steps: list[tuple[Matching, DeviationWitness]] = []

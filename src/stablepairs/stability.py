@@ -172,8 +172,3 @@ def is_stable(game: Game, matching: Matching, concept: Concept) -> bool:
     if concept is Concept.STRICT_CORE:
         return find_pair_block(game, matching, strict=True) is None
     raise ValueError(f"unknown concept {concept}")
-
-
-def replay(matching: Matching, witness: DeviationWitness) -> Matching:
-    """Apply a deviation witness to a matching."""
-    return matching.with_move(witness.mover, witness.target)

@@ -133,6 +133,14 @@ def test_dynamics_exit_codes(capsys, cyclic3, tmp_path):
     assert code == 4
     assert "STEP-LIMIT" in out
 
+    # a negative limit is an input error, not a step limit reached
+    code, out, err = run(capsys, "dynamics", "--concept", "is", "--max-steps", "-1", cyclic3)
+    assert code == 2 and out == ""
+    assert err == "error: max_steps must be non-negative\n"
+    code, out, _ = run(capsys, "dynamics", "--concept", "is", "--max-steps", "0", cyclic3)
+    assert code == 4
+    assert out == "STEP-LIMIT steps=0\n"
+
     stable_start = tmp_path / "stable.txt"
     stable_start.write_text("1 2\n3 -\n")
     code, out, _ = run(capsys, "dynamics", "--concept", "cns", "--start", str(stable_start), cyclic3)
@@ -189,6 +197,11 @@ def test_usage_errors(capsys, tmp_path):
     assert code == 2
     code, _, err = run(capsys, "solve", "--concept", "is", __file__)
     assert code == 2  # not an instance file
+    # size flags of the other kind of game
+    code, out, _ = run(capsys, "gen", "marriage", "--n", "5", "--seed", "1")
+    assert code == 2 and out == ""
+    code, out, _ = run(capsys, "gen", "roommate", "--men", "3")
+    assert code == 2 and out == ""
 
 
 @pytest.mark.parametrize(

@@ -37,8 +37,8 @@ def test_parse_tie_groups_and_self():
     assert pl.rank_of(2) == 0
     assert pl.rank_of(3) == pl.self_rank == 1
     assert pl.rank_of(4) == 2  # listed below self: ranked but unacceptable
-    assert pl.accepts(3) and pl.rank_of(3) >= pl.self_rank
-    assert not pl.accepts(4)
+    assert pl.rank_of(3) <= pl.self_rank and pl.rank_of(3) >= pl.self_rank
+    assert pl.rank_of(4) > pl.self_rank
     # unlisted players sit strictly below everything listed
     empty = game.prefs(3)
     assert empty.rank_of(1) == empty.rank_of(2) == empty.bottom_rank
@@ -224,4 +224,4 @@ def test_marriage_same_sex_unacceptable():
         for i in men:
             for j in men:
                 if i != j:
-                    assert not game.prefs(i).accepts(j)
+                    assert game.prefs(i).rank_of(j) > game.prefs(i).self_rank

@@ -3,7 +3,8 @@
 Every check compares, for every ordered pair of players, what
 ``PreferenceList`` and the game-level predicates compute from the compiled
 form with :func:`support.definitional_rank`.  The 10,000-player test bounds
-memory: compiled preferences must stay linear in the instance size.
+memory: compiled preferences must stay linear in the instance size, and so
+must the brute-force search set up on them.
 """
 
 from __future__ import annotations
@@ -14,8 +15,10 @@ from stablepairs import (
     Concept,
     DeviationWitness,
     Game,
+    GenParams,
     Matching,
     PreferenceList,
+    brute_force,
     find_deviation,
     has_no_unacceptability,
     is_individually_rational,
@@ -24,6 +27,7 @@ from stablepairs import (
     mmm_to_roommate_is,
     parse_instance,
     raise_preferences,
+    random_game,
 )
 from support import (
     SMALL_GRAPHS,
@@ -43,7 +47,7 @@ def check_list(pl: PreferenceList, n: int) -> None:
     assert pl.bottom_rank == rank[n + 1]
     for j in range(1, n + 1):
         assert pl.rank_of(j) == rank[j]
-        assert pl.accepts(j) == definitional_accepts(pl, j)
+        assert (pl.rank_of(j) <= pl.self_rank) == definitional_accepts(pl, j)
     for r in range(pl.bottom_rank + 1):
         assert pl.up_to(r) == tuple(j for j in listed if rank[j] <= r)
     assert pl.num_acceptable == sum(
@@ -128,3 +132,20 @@ def test_sparse_10k_roommate_memory_is_linear():
         tracemalloc.stop()
     # Dense n x n rank rows would need about 800 MB here.
     assert peak < 25 * 2**20
+
+
+def test_sparse_search_memory_is_linear():
+    # 3000 players, 8,975 listed entries.  Generating the game draws n^2
+    # random numbers, so it stays outside the measured window.
+    game = random_game(
+        GenParams(kind="roommate", n=3000, acceptability_probability=0.001, seed=1)
+    )
+    tracemalloc.start()
+    try:
+        found, count = brute_force(game, Concept.IR, cap=5000, stop_after=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 1 and is_individually_rational(game, found)
+    # A dense (n+1) x (n+1) rank table needs about 70 MB here.
+    assert peak < 10 * 2**20

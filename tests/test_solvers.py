@@ -31,7 +31,7 @@ from stablepairs import (
     search_stable,
 )
 from stablepairs.model import GenParams
-from stablepairs.solvers import _earlier_twins
+from stablepairs.solvers import _earlier_twins, _run_search
 from support import (
     CYCLIC3,
     SMALL_GRAPHS,
@@ -344,6 +344,51 @@ def test_search_stable_budget_statuses():
     assert status == "found" and find_deviation(cyclic, found, Concept.CNS) is None
     status, _ = search_stable(cyclic, Concept.IS, node_budget=1)
     assert status == "budget"
+
+
+def _nodes_to_decide(game, concept, stop_after):
+    """The smallest node budget under which the search is decided: it either
+    exhausts the space or sees ``stop_after`` stable matchings."""
+
+    def decided(budget):
+        _, count, exhausted = _run_search(game, concept, stop_after, budget)
+        return exhausted or (stop_after is not None and count >= stop_after)
+
+    lo, hi = 0, 1  # a budget of 0 never decides, since the root is a node
+    while not decided(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if decided(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def test_search_node_counts_are_pinned():
+    # Rules (b)-(d) only prune, so weakening one changes no result; it shows
+    # only as more nodes.  Each total covers seeds 0-39.
+    games = [
+        random_roommate(seed, max_n=7) if seed % 2 else random_marriage(seed, max_side=4)
+        for seed in range(40)
+    ]
+    totals = {
+        (concept.name, stop_after): sum(
+            _nodes_to_decide(game, concept, stop_after) for game in games
+        )
+        for concept in Concept
+        for stop_after in (None, 1)
+    }
+    assert totals == {
+        ("IR", None): 460, ("IR", 1): 156,
+        ("NS", None): 259, ("NS", 1): 224,
+        ("IS", None): 324, ("IS", 1): 168,
+        ("CNS", None): 660, ("CNS", 1): 159,
+        ("CIS", None): 781, ("CIS", 1): 155,
+        ("CORE", None): 359, ("CORE", 1): 198,
+        ("STRICT_CORE", None): 324, ("STRICT_CORE", 1): 219,
+    }
 
 
 # ----------------------------------------------------------------- dynamics

@@ -15,7 +15,6 @@ from stablepairs import (
     is_individually_rational,
     is_stable,
     parse_instance,
-    replay,
 )
 from support import CYCLIC3, random_marriage, random_matching, random_roommate
 
@@ -110,11 +109,12 @@ def test_witnesses_replay_to_strict_improvement():
             w = find_deviation(game, m, concept)
             if w is None:
                 continue
-            after = replay(m, w)
+            after = m.with_move(w.mover, w.target)
             pl = game.prefs(w.mover)
             assert pl.rank_of(after.partner_of(w.mover)) < pl.rank_of(m.partner_of(w.mover))
             if concept in (Concept.IS, Concept.CIS) and w.target is not None:
-                assert game.prefs(w.target).accepts(w.mover)
+                target = game.prefs(w.target)
+                assert target.rank_of(w.mover) <= target.self_rank
             old_partner = m.partner_of(w.mover)
             if concept in (Concept.CNS, Concept.CIS) and old_partner != w.mover:
                 left = game.prefs(old_partner)
