@@ -28,6 +28,13 @@ class Matching:
         self._partner = p
 
     @classmethod
+    def _trusted(cls, partner: tuple[int, ...]) -> Matching:
+        """Wrap a partner tuple that is already an involution, unchecked."""
+        matching = cls.__new__(cls)
+        matching._partner = partner
+        return matching
+
+    @classmethod
     def singletons(cls, n: int) -> Matching:
         return cls(range(1, n + 1))
 

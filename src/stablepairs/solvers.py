@@ -3,7 +3,15 @@
 The better-response solvers start from the all-singletons matching and apply
 the deterministic deviation scheduler (lowest mover id, most preferred
 target) until stable; their deviation counters double as loud bug signals
-when a proved termination bound is crossed.
+when a proved termination bound is crossed.  The dynamics run the same
+scheduler from any matching.  A player's deviation depends only on its
+partner, that partner's rank of it (the CNS/CIS veto), and which of the
+players it lists are single.  So after a move only the mover, its old
+partner, its target, and everyone who lists a player the move left single
+are flagged for a recheck.  A move leaves the old partner single, and the
+mover too when it leaves a pair to go alone.  The lowest flagged player is
+checked next and unflagged if it has no deviation; once no flag is left,
+one full verifier scan confirms the result.
 
 The brute-force search enumerates matchings in the documented order of
 :func:`stablepairs.matching.enumerate_matchings` but skips, provably without
@@ -49,6 +57,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import InternalCheckError, PreconditionError
@@ -65,6 +74,7 @@ from .stability import (
     Concept,
     DEVIATION_CONCEPTS,
     DeviationWitness,
+    _player_deviation,
     find_deviation,
     is_individually_rational,
     is_stable,
@@ -90,18 +100,68 @@ class DynamicsTrace:
     cycle_start: int | None = None
 
 
+def _listers(game: Game) -> list[list[int]]:
+    """``listers[j]``: the players whose lists name ``j``, ascending; O(n + L)."""
+    listers: list[list[int]] = [[] for _ in range(game.n + 1)]
+    for pl in game.profile:
+        for j in pl.order:
+            listers[j].append(pl.owner)
+    return listers
+
+
+def _moves(
+    game: Game, concept: Concept, partner: list[int]
+) -> Iterator[tuple[int, int]]:
+    """Apply the deviation scheduler's moves to ``partner`` in place, yielding each.
+
+    ``partner[j - 1]`` is player ``j``'s partner.  A move ``(mover, target)``
+    is applied before it is yielded; ``target == mover`` means going alone.
+    The run ends when no player can deviate, which one full
+    :func:`find_deviation` then confirms.
+    """
+    profile = game.profile
+    need_target = concept in (Concept.IS, Concept.CIS)
+    need_left = concept in (Concept.CNS, Concept.CIS)
+    listers = _listers(game)
+    # A clear flag means the player has no deviation; none is set below lo.
+    dirty = bytearray(1) + b"\x01" * game.n
+    lo = 1
+    while (i := dirty.find(1, lo)) > 0:
+        target = _player_deviation(profile, partner, profile[i - 1], need_target, need_left)
+        if target is None:
+            dirty[i] = 0
+            lo = i + 1
+            continue
+        old = partner[i - 1]
+        partner[old - 1] = old
+        partner[i - 1] = target
+        partner[target - 1] = i
+        dirty[old] = dirty[target] = 1
+        lo = min(i, old, target)
+        if old != i:
+            # Whoever the move leaves single may now be some lister's target.
+            for freed in (old, i) if target == i else (old,):
+                for k in listers[freed]:
+                    dirty[k] = 1
+                if listers[freed] and listers[freed][0] < lo:
+                    lo = listers[freed][0]
+        yield i, target
+    if find_deviation(game, Matching._trusted(tuple(partner)), concept) is not None:
+        raise InternalCheckError(
+            f"better-response run stopped at a matching that is not {concept.name}-stable"
+        )
+
+
 def _better_response(game: Game, concept: Concept, bound: int, label: str) -> SolverReport:
     start = time.perf_counter()
-    current = Matching.singletons(game.n)
+    partner = list(range(1, game.n + 1))
     count = 0
-    while True:
-        witness = find_deviation(game, current, concept)
-        if witness is None:
-            return SolverReport(current, count, time.perf_counter() - start)
-        count += 1
+    for count, _ in enumerate(_moves(game, concept, partner), 1):
         if count > bound:
             raise InternalCheckError(f"{label}: {count} deviations exceed {bound}")
-        current = current.with_move(witness.mover, witness.target)
+    return SolverReport(
+        Matching._trusted(tuple(partner)), count, time.perf_counter() - start
+    )
 
 
 def compute_cis_ir(game: Game) -> SolverReport:
@@ -332,10 +392,7 @@ def _earlier_twins(game: Game) -> list[int]:
     """
     profile = game.profile
     men = game.num_men if game.kind == MARRIAGE else game.n
-    listers: list[list[int]] = [[] for _ in range(game.n + 1)]
-    for pl in profile:
-        for j in pl.order:
-            listers[j].append(pl.owner)
+    listers = _listers(game)
 
     def swappable(r: int, j: int) -> bool:
         # Equal keys give rows of equal length and columns of equal length.
@@ -427,7 +484,7 @@ def _run_search(
             i = k
             untried = rest[k] = iter(cand[k])
         else:
-            if ir or is_stable(game, Matching(pi[1:]), concept):
+            if ir or is_stable(game, Matching._trusted(tuple(pi[1:])), concept):
                 count += 1
                 if found is None:
                     found = tuple(pi[1:])
@@ -529,18 +586,17 @@ def run_dynamics(
     if max_steps < 0:
         raise ValueError("max_steps must be non-negative")
     current = initial
-    seen = {initial: 0}
+    partner = list(initial.as_tuple())
+    seen = {initial.as_tuple(): 0}
     steps: list[tuple[Matching, DeviationWitness]] = []
-    while True:
-        witness = find_deviation(game, current, concept)
-        if witness is None:
-            return DynamicsTrace(tuple(steps), "stable", current)
+    for mover, target in _moves(game, concept, partner):
         if len(steps) >= max_steps:
             return DynamicsTrace(tuple(steps), "step-limit", current)
+        witness = DeviationWitness(mover, None if target == mover else target, concept)
         steps.append((current, witness))
-        current = current.with_move(witness.mover, witness.target)
-        if current in seen:
-            return DynamicsTrace(
-                tuple(steps), "cycle", current, cycle_start=seen[current]
-            )
-        seen[current] = len(steps)
+        key = tuple(partner)
+        current = Matching._trusted(key)
+        if key in seen:
+            return DynamicsTrace(tuple(steps), "cycle", current, cycle_start=seen[key])
+        seen[key] = len(steps)
+    return DynamicsTrace(tuple(steps), "stable", current)

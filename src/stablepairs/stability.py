@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .matching import Matching
-from .model import Game
+from .model import Game, PreferenceList
 
 
 class Concept(Enum):
@@ -82,40 +82,59 @@ def find_deviation(
     """
     if concept not in DEVIATION_CONCEPTS:
         raise ValueError(f"{concept} is not a single-player deviation concept")
-    need_target_consent = concept in (Concept.IS, Concept.CIS)
-    need_left_consent = concept in (Concept.CNS, Concept.CIS)
+    need_target = concept in (Concept.IS, Concept.CIS)
+    need_left = concept in (Concept.CNS, Concept.CIS)
     profile = game.profile
     partner_of = _partners(game, matching)
-
-    for pl, partner in zip(profile, partner_of):
-        i = pl.owner
-        ranks = pl.ranks
-        self_rank = pl.self_rank
-        cur = pl.rank_of(partner)
-        if cur == 0:
-            continue
-        if need_left_consent and partner != i:
-            left = profile[partner - 1]
-            if left.self_rank > left.ranks.get(i, left.bottom_rank):
-                continue  # the abandoned partner would veto any move
-        # Going alone is profitable when being alone ranks above the current
-        # coalition; it comes after every player ranked with or above it.
-        alone = self_rank < cur and partner != i
-        for j in pl.order:
-            r = ranks[j]
-            if r >= cur:
-                break
-            if alone and r > self_rank:
-                return DeviationWitness(i, None, concept)
-            if partner_of[j - 1] == j:
-                if need_target_consent:
-                    target = profile[j - 1]
-                    if target.ranks.get(i, target.bottom_rank) > target.self_rank:
-                        continue
-                return DeviationWitness(i, j, concept)
-        if alone:
-            return DeviationWitness(i, None, concept)
+    for pl in profile:
+        target = _player_deviation(profile, partner_of, pl, need_target, need_left)
+        if target is not None:
+            i = pl.owner
+            return DeviationWitness(i, None if target == i else target, concept)
     return None
+
+
+def _player_deviation(
+    profile: tuple[PreferenceList, ...],
+    partner_of: tuple[int, ...] | list[int],
+    pl: PreferenceList,
+    need_target: bool,
+    need_left: bool,
+) -> int | None:
+    """The most preferred consented move of player ``pl.owner``, or ``None``.
+
+    ``partner_of[j - 1]`` is player ``j``'s partner.  Returns the target's
+    id, or the player's own id for going alone.  The result depends only on
+    the player's partner, that partner's rank of the player, and which of
+    the players it lists are single.
+    """
+    i = pl.owner
+    partner = partner_of[i - 1]
+    ranks = pl.ranks
+    self_rank = pl.self_rank
+    cur = pl.rank_of(partner)
+    if cur == 0:
+        return None
+    if need_left and partner != i:
+        left = profile[partner - 1]
+        if left.self_rank > left.ranks.get(i, left.bottom_rank):
+            return None  # the abandoned partner would veto any move
+    # Going alone is profitable when being alone ranks above the current
+    # coalition; it comes after every player ranked with or above it.
+    alone = self_rank < cur and partner != i
+    for j in pl.order:
+        r = ranks[j]
+        if r >= cur:
+            break
+        if alone and r > self_rank:
+            return i
+        if partner_of[j - 1] == j:
+            if need_target:
+                target = profile[j - 1]
+                if target.ranks.get(i, target.bottom_rank) > target.self_rank:
+                    continue
+            return j
+    return i if alone else None
 
 
 def find_pair_block(

@@ -3,8 +3,9 @@
 Oracles here deliberately avoid the library's optimized code paths: matching
 counts come from the involution recurrence, maximum matchings from plain
 exhaustive search, stability counts from filtering the unrestricted
-enumeration through the definitional verifiers, and preference ranks from
-the public tier fields alone.
+enumeration through the definitional verifiers, better-response dynamics
+from a full verifier scan after every move, and preference ranks from the
+public tier fields alone.
 """
 
 from __future__ import annotations
@@ -13,12 +14,14 @@ import random
 
 from stablepairs import (
     Concept,
+    DynamicsTrace,
     Game,
     GenParams,
     Graph,
     Matching,
     PreferenceList,
     enumerate_matchings,
+    find_deviation,
     is_stable,
     random_game,
 )
@@ -81,6 +84,26 @@ def naive_stable_count(game: Game, concept: Concept) -> tuple[Matching | None, i
             if first is None:
                 first = m
     return first, count
+
+
+def full_scan_dynamics(
+    game: Game, concept: Concept, start: Matching, max_steps: int
+) -> DynamicsTrace:
+    """Better-response dynamics that rescan every player after every move."""
+    current = start
+    seen = {start: 0}
+    steps = []
+    while True:
+        witness = find_deviation(game, current, concept)
+        if witness is None:
+            return DynamicsTrace(tuple(steps), "stable", current)
+        if len(steps) >= max_steps:
+            return DynamicsTrace(tuple(steps), "step-limit", current)
+        steps.append((current, witness))
+        current = current.with_move(witness.mover, witness.target)
+        if current in seen:
+            return DynamicsTrace(tuple(steps), "cycle", current, cycle_start=seen[current])
+        seen[current] = len(steps)
 
 
 def exhaustive_max_matching_size(g: Graph) -> int:

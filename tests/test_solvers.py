@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -30,11 +31,13 @@ from stablepairs import (
     run_dynamics,
     search_stable,
 )
+from stablepairs import solvers
 from stablepairs.model import GenParams
 from stablepairs.solvers import _earlier_twins, _run_search
 from support import (
     CYCLIC3,
     SMALL_GRAPHS,
+    full_scan_dynamics,
     naive_stable_count,
     random_marriage,
     random_matching,
@@ -436,6 +439,73 @@ def test_dynamics_cns_from_singletons_terminates():
         trace = run_dynamics(game, Concept.CNS, Matching.singletons(game.n), 2 * game.n * game.n + 1)
         assert trace.outcome == "stable"
         assert len(trace.steps) <= 2 * game.n * game.n
+
+
+def test_incremental_dynamics_match_full_scan():
+    # Random starts on seeded games; the reference rescans every player after
+    # every move.  Moves in which a paired mover goes alone leave two players
+    # single, and the corpus must keep plenty of them.
+    concepts = (Concept.NS, Concept.IS, Concept.CNS, Concept.CIS)
+    paired_alone = 0
+    for seed in range(1000):
+        rng = random.Random(seed)
+        tie, accept = rng.random(), 0.2 + 0.8 * rng.random()
+        if seed % 2:
+            params = GenParams(kind="marriage", n_men=rng.randint(0, 7), n_women=rng.randint(0, 7))
+        else:
+            params = GenParams(kind="roommate", n=rng.randint(0, 14))
+        game = random_game(replace(
+            params, tie_probability=tie, acceptability_probability=accept, seed=seed
+        ))
+        start = random_matching(game.n, rng)
+        for concept in concepts:
+            expected = full_scan_dynamics(game, concept, start, 60)
+            assert run_dynamics(game, concept, start, 60) == expected, (seed, concept)
+            paired_alone += sum(
+                w.target is None and m.partner_of(w.mover) != w.mover
+                for m, w in expected.steps
+            )
+        singletons = Matching.singletons(game.n)
+        for solve, concept in ((compute_cns, Concept.CNS), (compute_cis_ir, Concept.CIS)):
+            expected = full_scan_dynamics(game, concept, singletons, 2 * game.n * game.n)
+            report = solve(game)
+            assert expected.outcome == "stable"
+            assert report.matching == expected.final, (seed, concept)
+            assert report.deviation_count == len(expected.steps)
+    assert paired_alone >= 500
+
+
+def test_cns_rechecks_only_players_a_move_touched(monkeypatch):
+    # Each evaluation either clears a flag or makes a move, and a move flags
+    # at most the old partner, the target and the listers of the two players
+    # it can leave single.  A scheduler that rescans from player 1 after
+    # every move exceeds this count.
+    game = random_game(GenParams(
+        kind="roommate", n=3000, acceptability_probability=0.003, tie_probability=0.3, seed=1
+    ))
+    calls = 0
+    evaluate = solvers._player_deviation
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return evaluate(*args)
+
+    monkeypatch.setattr(solvers, "_player_deviation", counted)
+    report = compute_cns(game)
+    in_degree = max(map(len, solvers._listers(game)))
+    assert report.deviation_count > 1000
+    assert calls <= game.n + report.deviation_count * (3 + 2 * in_degree)
+
+
+def test_missed_deviation_fails_the_final_check(monkeypatch):
+    # An engine that overlooks every deviation must not report a stable end.
+    monkeypatch.setattr(solvers, "_player_deviation", lambda *args: None)
+    game = parse_instance(CYCLIC3)
+    with pytest.raises(InternalCheckError):
+        compute_cns(game)
+    with pytest.raises(InternalCheckError):
+        run_dynamics(game, Concept.NS, Matching.singletons(3), 10)
 
 
 def test_solver_reports_have_timing():
