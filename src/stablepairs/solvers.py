@@ -30,10 +30,16 @@ rules are tabulated once, before the search, in one O(n + L) pass over the
 compiled ranks (``L`` listed entries); the search keeps no dense rank table,
 and its loop reads no rank outside the leaf test.
 
-Each leaf is decided by :func:`stablepairs.stability.is_stable`, so every
-concept has one definition.  IR leaves need no test: under IR, rule (b)
-admits only mutually acceptable pairs, and a single player is always
-individually rational.
+Under NS, IS, CNS and CIS a leaf is stable iff no player would move to a
+single player or go alone.  :func:`_target_table` answers that with one
+lookup per player: the moves :func:`stablepairs.stability._move_targets`,
+the rule :func:`stablepairs.stability.find_deviation` applies, yields for
+the player's partner were everyone else single.  So each concept keeps one
+definition.  Core and strict core leaves are decided by
+:func:`stablepairs.stability.is_stable`: a block depends on the other
+player's partner, not only on who is single.  IR leaves need no test: under
+IR, rule (b) admits only mutually acceptable pairs, and a single player is
+always individually rational.
 
 In existence mode (``stop_after == 1``) it also applies (d), symmetry:
 player ``i`` is paired only with the lowest-id undecided member of each
@@ -59,6 +65,8 @@ import time
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import chain, tee
+from operator import eq
 
 from .errors import InternalCheckError, PreconditionError
 from .graph_matching import Graph, max_matching
@@ -74,6 +82,7 @@ from .stability import (
     Concept,
     DEVIATION_CONCEPTS,
     DeviationWitness,
+    _move_targets,
     _player_deviation,
     find_deviation,
     is_individually_rational,
@@ -379,6 +388,57 @@ def _prune_tables(game: Game, concept: Concept) -> tuple[list[list[int]], list[s
     return cand, clash
 
 
+def _target_table(
+    game: Game, concept: Concept, cand: list[list[int]]
+) -> list[dict[int, tuple[int, ...]]]:
+    """``targets[q][p]``: whom player ``q`` would move to when paired with ``p``.
+
+    The tuple lists, best first, the moves that
+    :func:`stablepairs.stability._move_targets` yields under a deviation
+    concept when everyone but ``q`` and ``p`` is single, with going alone
+    written as 0.  In any matching that pairs ``q`` with ``p``, q's move is
+    the first of them that is single.  ``p`` ranges over ``q`` itself
+    (single) and q's rule-(b) neighbours in ``cand``, the only partners a
+    search leaf can give ``q``.  ``targets[0]`` maps 0 to no targets, so the
+    table can be read along the whole partner list.  Set-up costs
+    O(sum over q of (1 + deg_q) * len(order_q)).
+    """
+    need_target = concept in (Concept.IS, Concept.CIS)
+    need_left = concept in (Concept.CNS, Concept.CIS)
+    partners = [[q] for q in range(game.n + 1)]
+    for i, row in enumerate(cand):
+        for j in row:
+            partners[i].append(j)
+            partners[j].append(i)
+    profile = game.profile
+    targets: list[dict[int, tuple[int, ...]]] = [{0: ()}]
+    # The matching that pairs q with p and leaves everyone else single.
+    partner_of = list(range(1, game.n + 1))
+    for pl in profile:
+        q = pl.owner
+        row: dict[int, tuple[int, ...]] = {}
+        for p in partners[q]:
+            partner_of[q - 1], partner_of[p - 1] = p, q
+            row[p] = tuple(
+                t if t != q else 0
+                for t in _move_targets(profile, partner_of, pl, need_target, need_left)
+            )
+            partner_of[q - 1], partner_of[p - 1] = q, p
+        targets.append(row)
+    return targets
+
+
+def _table_stable(targets: list[dict[int, tuple[int, ...]]], pi: list[int]) -> bool:
+    """Whether no player has a single move target; ``pi[q]`` is q's partner.
+
+    ``pi[0] == 0``, so going alone (target 0) always reads as single.  The
+    scan runs no Python loop per player and stops at the first open move,
+    so one call costs at most O(n + targets read).
+    """
+    moves, again = tee(chain.from_iterable(map(dict.__getitem__, targets, pi)))
+    return not any(map(eq, map(pi.__getitem__, moves), again))
+
+
 def _earlier_twins(game: Game) -> list[int]:
     """``twin[j]``: the next lower id interchangeable with player ``j``, or 0.
 
@@ -444,13 +504,17 @@ def _run_search(
     or ``node_budget``.  Every visit to a search position counts as one
     node, leaves included.  The recursion over players runs on an explicit
     stack, so the depth is not limited by the interpreter's.  Rules (b) and
-    (c) come from :func:`_prune_tables`, so set-up is O(n + L) in time and
-    memory for ``L`` listed entries; the loop reads no rank outside the leaf
-    test.
+    (c) come from :func:`_prune_tables` in O(n + L) time and memory for
+    ``L`` listed entries, and deviation-concept leaves from
+    :func:`_target_table` in O(sum over q of (1 + deg_q) * len(order_q));
+    the loop reads no rank outside the core and strict-core leaf tests.
+    Rule (c) costs a node at most the smaller of the player's clashes and
+    the singles placed so far.
     """
     n = game.n
     cand, clash = _prune_tables(game, concept)
     ir = concept is Concept.IR
+    targets = _target_table(game, concept, cand) if concept in DEVIATION_CONCEPTS else None
     # Rule (d).  The undecided members of a class always form a suffix of
     # it, so j is the lowest one exactly when its earlier twin is decided.
     # Index 0 stands for "no earlier twin" and stays decided.
@@ -458,7 +522,9 @@ def _run_search(
 
     pi = list(range(n + 1))
     decided = [True] + [False] * n
-    singles: list[int] = []
+    # Rule (c) state: the decided players that stay single.  Clashes are
+    # symmetric, so a player without one is never looked up and not kept.
+    singles: set[int] = set()
     found: tuple[int, ...] | None = None
     count = 0
     left = node_budget  # nodes the budget still allows; only counted under a budget
@@ -484,7 +550,11 @@ def _run_search(
             i = k
             untried = rest[k] = iter(cand[k])
         else:
-            if ir or is_stable(game, Matching._trusted(tuple(pi[1:])), concept):
+            if ir or (
+                _table_stable(targets, pi)
+                if targets is not None
+                else is_stable(game, Matching._trusted(tuple(pi[1:])), concept)
+            ):
                 count += 1
                 if found is None:
                     found = tuple(pi[1:])
@@ -495,8 +565,8 @@ def _run_search(
                 decided[j] = False
                 pi[i] = i
                 pi[j] = j
-            elif i:
-                singles.pop()
+            elif clash[i]:
+                singles.remove(i)
         # Take the current frame's next branch: a partner, then alone.  A
         # frame done with its last branch (j == i) hands over to the frame
         # above, which first undoes its own latest branch.
@@ -512,8 +582,8 @@ def _run_search(
                     decided[j] = False
                     pi[i] = i
                     pi[j] = j
-                else:
-                    singles.pop()
+                elif clash[i]:
+                    singles.remove(i)
             for j in untried:
                 if not decided[j] and decided[twin[j]]:
                     decided[j] = True
@@ -522,9 +592,10 @@ def _run_search(
                     break
             else:
                 j = i
-                if clash[i] and not clash[i].isdisjoint(singles):
-                    continue
-                singles.append(i)
+                if clash[i]:
+                    if not clash[i].isdisjoint(singles):
+                        continue
+                    singles.add(i)
             break
     return (Matching(found) if found is not None else None), count, False
 

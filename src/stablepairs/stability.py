@@ -10,6 +10,7 @@ what makes core stability imply individual rationality.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -103,10 +104,26 @@ def _player_deviation(
 ) -> int | None:
     """The most preferred consented move of player ``pl.owner``, or ``None``.
 
-    ``partner_of[j - 1]`` is player ``j``'s partner.  Returns the target's
-    id, or the player's own id for going alone.  The result depends only on
-    the player's partner, that partner's rank of the player, and which of
-    the players it lists are single.
+    The first move :func:`_move_targets` yields: a target's id, or the
+    player's own id for going alone.
+    """
+    return next(_move_targets(profile, partner_of, pl, need_target, need_left), None)
+
+
+def _move_targets(
+    profile: tuple[PreferenceList, ...],
+    partner_of: tuple[int, ...] | list[int],
+    pl: PreferenceList,
+    need_target: bool,
+    need_left: bool,
+) -> Iterator[int]:
+    """The profitable consented moves of player ``pl.owner``, best first.
+
+    ``partner_of[j - 1]`` is player ``j``'s partner.  Yields each single
+    player the owner would join, then its own id if it would go alone.  The
+    moves depend only on the owner's partner, that partner's rank of the
+    owner, and which of the players it lists are single; with all of them
+    single, this yields every target the owner could take from its partner.
     """
     i = pl.owner
     partner = partner_of[i - 1]
@@ -114,11 +131,11 @@ def _player_deviation(
     self_rank = pl.self_rank
     cur = pl.rank_of(partner)
     if cur == 0:
-        return None
+        return
     if need_left and partner != i:
         left = profile[partner - 1]
         if left.self_rank > left.ranks.get(i, left.bottom_rank):
-            return None  # the abandoned partner would veto any move
+            return  # the abandoned partner would veto any move
     # Going alone is profitable when being alone ranks above the current
     # coalition; it comes after every player ranked with or above it.
     alone = self_rank < cur and partner != i
@@ -127,14 +144,15 @@ def _player_deviation(
         if r >= cur:
             break
         if alone and r > self_rank:
-            return i
+            break
         if partner_of[j - 1] == j:
             if need_target:
                 target = profile[j - 1]
                 if target.ranks.get(i, target.bottom_rank) > target.self_rank:
                     continue
-            return j
-    return i if alone else None
+            yield j
+    if alone:
+        yield i
 
 
 def find_pair_block(

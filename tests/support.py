@@ -23,6 +23,7 @@ from stablepairs import (
     enumerate_matchings,
     find_deviation,
     is_stable,
+    parse_instance,
     random_game,
 )
 
@@ -72,6 +73,72 @@ def random_matching(n: int, rng: random.Random) -> Matching:
             partner[i] = j
             partner[j] = i
     return Matching(partner[1:])
+
+
+def definitional_move(
+    game: Game, partner_of: tuple[int, ...], i: int, concept: Concept
+) -> int | None:
+    """Player ``i``'s best profitable consented move, read off the definitions.
+
+    Returns the single player ``i`` would join, ``i`` itself for going alone,
+    or ``None``.  Moves rank by ``i``'s preference; among equally ranked
+    ones the lowest target id wins, and going alone comes last.
+    """
+    profile = game.profile
+
+    def rank(a: int, b: int) -> int:
+        return definitional_rank(profile[a - 1], b)
+
+    partner = partner_of[i - 1]
+    current = rank(i, partner)
+    if concept in (Concept.CNS, Concept.CIS) and partner != i:
+        if rank(partner, i) < rank(partner, partner):
+            return None  # the abandoned partner would be worse off
+    moves = []
+    if partner != i and rank(i, i) < current:
+        moves.append((rank(i, i), 1, i))
+    for j in game.players():
+        if j == i or partner_of[j - 1] != j or rank(i, j) >= current:
+            continue
+        if concept in (Concept.IS, Concept.CIS) and rank(j, i) > rank(j, j):
+            continue  # the joined player would be worse off
+        moves.append((rank(i, j), 0, j))
+    return min(moves)[2] if moves else None
+
+
+def random_listed_game(rng: random.Random) -> Game:
+    """A small game whose lists put ``self`` anywhere, tied or not.
+
+    ``random_game`` always lists ``self`` last, so it never lists a player
+    below being alone; this draws acceptability 0.2-1 and any tie rate.
+    """
+    marriage = rng.random() < 0.5
+    if marriage:
+        men, women = rng.randint(0, 4), rng.randint(0, 4)
+        n = men + women
+        header = f"marriage {men} {women}"
+    else:
+        n = rng.randint(0, 8)
+        header = f"roommate {n}"
+    accept, tie = 0.2 + 0.8 * rng.random(), rng.random()
+    lines = [header]
+    for i in range(1, n + 1):
+        if marriage:
+            others = [j for j in range(1, n + 1) if (j <= men) != (i <= men)]
+        else:
+            others = [j for j in range(1, n + 1) if j != i]
+        entries = [str(j) for j in others if rng.random() < accept]
+        rng.shuffle(entries)
+        entries.insert(rng.randint(0, len(entries)), "self")
+        tiers: list[list[str]] = []
+        for e in entries:
+            if tiers and rng.random() < tie:
+                tiers[-1].append(e)
+            else:
+                tiers.append([e])
+        text = " ".join(t[0] if len(t) == 1 else "( " + " ".join(t) + " )" for t in tiers)
+        lines.append(f"{i}: {text}")
+    return parse_instance("\n".join(lines) + "\n")
 
 
 def naive_stable_count(game: Game, concept: Concept) -> tuple[Matching | None, int]:

@@ -28,6 +28,7 @@ from stablepairs import (
     parse_instance,
     raise_preferences,
     random_game,
+    search_stable,
 )
 from support import (
     SMALL_GRAPHS,
@@ -148,4 +149,15 @@ def test_sparse_search_memory_is_linear():
         tracemalloc.stop()
     assert count == 1 and is_individually_rational(game, found)
     # A dense (n+1) x (n+1) rank table needs about 70 MB here.
+    assert peak < 10 * 2**20
+    # CNS builds the move-target table, one entry per player and rule-(b)
+    # neighbour, and runs rule (c) deep into the tree; an n x n table would
+    # not fit.
+    tracemalloc.start()
+    try:
+        status, _ = search_stable(game, Concept.CNS, node_budget=200_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert status == "budget"
     assert peak < 10 * 2**20

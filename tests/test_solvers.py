@@ -33,12 +33,15 @@ from stablepairs import (
 )
 from stablepairs import solvers
 from stablepairs.model import GenParams
-from stablepairs.solvers import _earlier_twins, _run_search
+from stablepairs.solvers import _earlier_twins, _run_search, _table_stable, _target_table
+from stablepairs.stability import _player_deviation
 from support import (
     CYCLIC3,
     SMALL_GRAPHS,
+    definitional_move,
     full_scan_dynamics,
     naive_stable_count,
+    random_listed_game,
     random_marriage,
     random_matching,
     random_roommate,
@@ -392,6 +395,44 @@ def test_search_node_counts_are_pinned():
         ("CORE", None): 359, ("CORE", 1): 198,
         ("STRICT_CORE", None): 324, ("STRICT_CORE", 1): 219,
     }
+
+
+def test_move_targets_match_the_definitions():
+    # The table lists each player's moves as if everyone else were single;
+    # in any matching, the first listed move that is open must be the one
+    # the definitions and _player_deviation give.  Random matchings, unlike
+    # search leaves, pair players that one member would leave for being
+    # alone unvetoed (rule (b) keeps such pairs out of the search), so only
+    # here does the going-alone entry, 0, decide a verdict.  The corpus must
+    # hold plenty of matchings where nothing else does.
+    rng = random.Random(7)
+    alone_only = 0
+    for _ in range(400):
+        game = random_listed_game(rng)
+        profile = game.profile
+        every_pair = [[]] + [list(range(i + 1, game.n + 1)) for i in game.players()]
+        for concept in (Concept.NS, Concept.IS, Concept.CNS, Concept.CIS):
+            need_target = concept in (Concept.IS, Concept.CIS)
+            need_left = concept in (Concept.CNS, Concept.CIS)
+            targets = _target_table(game, concept, every_pair)
+            for _ in range(4):
+                matching = random_matching(game.n, rng)
+                partner_of = matching.as_tuple()
+                pi = [0, *partner_of]
+                moves = []
+                for pl in profile:
+                    i = pl.owner
+                    move = definitional_move(game, partner_of, i, concept)
+                    listed = next((t or i for t in targets[i][pi[i]] if pi[t] == t), None)
+                    assert listed == move, (game, concept, partner_of, i)
+                    assert _player_deviation(
+                        profile, partner_of, pl, need_target, need_left
+                    ) == move
+                    moves.append(move)
+                stable = is_stable(game, matching, concept)
+                assert _table_stable(targets, pi) == stable
+                alone_only += not stable and all(m in (None, i) for i, m in enumerate(moves, 1))
+    assert alone_only >= 1000
 
 
 # ----------------------------------------------------------------- dynamics
