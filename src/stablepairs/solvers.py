@@ -31,11 +31,12 @@ compiled ranks (``L`` listed entries); the search keeps no dense rank table,
 and its loop reads no rank outside the leaf test.
 
 Under NS, IS, CNS and CIS a leaf is stable iff no player would move to a
-single player or go alone.  :func:`_target_table` answers that with one
-lookup per player: the moves :func:`stablepairs.stability._move_targets`,
-the rule :func:`stablepairs.stability.find_deviation` applies, yields for
-the player's partner were everyone else single.  So each concept keeps one
-definition.  Core and strict core leaves are decided by
+single player or go alone.  :func:`_target_table` lists, once per search,
+each player's moves from each partner a leaf can give it, as
+:func:`stablepairs.stability._move_targets` (the rule that
+:func:`stablepairs.stability.find_deviation` applies) yields them with
+everyone else single.  A leaf then takes one lookup per player, and each
+concept keeps one definition.  Core and strict core leaves are decided by
 :func:`stablepairs.stability.is_stable`: a block depends on the other
 player's partner, not only on who is single.  IR leaves need no test: under
 IR, rule (b) admits only mutually acceptable pairs, and a single player is
@@ -405,11 +406,11 @@ def _target_table(
     """
     need_target = concept in (Concept.IS, Concept.CIS)
     need_left = concept in (Concept.CNS, Concept.CIS)
-    partners = [[q] for q in range(game.n + 1)]
+    neighbours = [[q] for q in range(game.n + 1)]
     for i, row in enumerate(cand):
         for j in row:
-            partners[i].append(j)
-            partners[j].append(i)
+            neighbours[i].append(j)
+            neighbours[j].append(i)
     profile = game.profile
     targets: list[dict[int, tuple[int, ...]]] = [{0: ()}]
     # The matching that pairs q with p and leaves everyone else single.
@@ -417,7 +418,7 @@ def _target_table(
     for pl in profile:
         q = pl.owner
         row: dict[int, tuple[int, ...]] = {}
-        for p in partners[q]:
+        for p in neighbours[q]:
             partner_of[q - 1], partner_of[p - 1] = p, q
             row[p] = tuple(
                 t if t != q else 0
@@ -429,10 +430,10 @@ def _target_table(
 
 
 def _table_stable(targets: list[dict[int, tuple[int, ...]]], pi: list[int]) -> bool:
-    """Whether no player has a single move target; ``pi[q]`` is q's partner.
+    """Whether no player has an open move; ``pi[q]`` is q's partner.
 
-    ``pi[0] == 0``, so going alone (target 0) always reads as single.  The
-    scan runs no Python loop per player and stops at the first open move,
+    A listed target ``t`` is open when single, ``pi[t] == t``; ``pi[0] == 0``
+    makes going alone (target 0) always open.  The scan runs no Python loop per player and stops at the first open move,
     so one call costs at most O(n + targets read).
     """
     moves, again = tee(chain.from_iterable(map(dict.__getitem__, targets, pi)))
