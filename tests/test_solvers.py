@@ -410,6 +410,7 @@ def test_move_targets_match_the_definitions():
     for _ in range(400):
         game = random_listed_game(rng)
         profile = game.profile
+        # Rule (b) candidates that keep every pair, so any matching is covered.
         every_pair = [[]] + [list(range(i + 1, game.n + 1)) for i in game.players()]
         for concept in (Concept.NS, Concept.IS, Concept.CNS, Concept.CIS):
             need_target = concept in (Concept.IS, Concept.CIS)
