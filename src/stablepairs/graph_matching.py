@@ -8,10 +8,10 @@ deliberately exponential and guarded by a size cap.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 from collections.abc import Iterable
 
+from ._frozen import Frozen
 from .errors import FormatError, PreconditionError
 
 Edge = tuple[int, int]
@@ -26,25 +26,28 @@ def _normalize(edges: Iterable[tuple[int, int]]) -> frozenset[Edge]:
     return frozenset(out)
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(Frozen):
     """Simple undirected graph on vertices ``1..n`` with an optional bipartition."""
 
-    n: int
-    edges: frozenset[Edge]
-    parts: tuple[frozenset[int], frozenset[int]] | None = None
+    __slots__ = ("n", "edges", "parts")
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
+    def __init__(
+        self,
+        n: int,
+        edges: frozenset[Edge],
+        parts: tuple[frozenset[int], frozenset[int]] | None = None,
+    ) -> None:
+        Frozen.__init__(self, n, edges, parts)
+        if n < 0:
             raise ValueError("vertex count must be non-negative")
-        for u, v in self.edges:
-            if not (1 <= u < v <= self.n):
+        for u, v in edges:
+            if not (1 <= u < v <= n):
                 raise ValueError(f"edge ({u}, {v}) is not a normalized in-range pair")
-        if self.parts is not None:
-            a, b = self.parts
-            if a & b or a | b != frozenset(range(1, self.n + 1)):
+        if parts is not None:
+            a, b = parts
+            if a & b or a | b != frozenset(range(1, n + 1)):
                 raise ValueError("bipartition must split the vertex set")
-            for u, v in self.edges:
+            for u, v in edges:
                 if (u in a) == (v in a):
                     raise ValueError(f"edge ({u}, {v}) does not cross the bipartition")
 
@@ -275,9 +278,8 @@ def subdivision_graph(g0: Graph) -> Graph:
     )
 
 
-@dataclass(frozen=True)
-class PaddingRecord:
-    """What :func:`pad_bipartition` added.
+class PaddingRecord(namedtuple("PaddingRecord", "r anchors stubs")):
+    """What :func:`pad_bipartition` added: ``r`` anchors and their stub pairs.
 
     Each anchor vertex went to the larger side with exactly two fresh
     neighbors (its stubs) on the smaller side, so every maximal matching must
@@ -285,9 +287,7 @@ class PaddingRecord:
     shift by exactly ``r``.
     """
 
-    r: int
-    anchors: tuple[int, ...]
-    stubs: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
 
 def pad_bipartition(g: Graph) -> tuple[Graph, PaddingRecord]:

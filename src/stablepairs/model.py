@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from collections.abc import Mapping
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
 from itertools import groupby
 from types import MappingProxyType
 
+from ._frozen import Frozen
 from .errors import FormatError
 
 ROOMMATE = "roommate"
@@ -24,8 +24,7 @@ MARRIAGE = "marriage"
 _SELF_TOKEN = "self"
 
 
-@dataclass(frozen=True, init=False, repr=False, slots=True)
-class PreferenceList:
+class PreferenceList(Frozen):
     """One player's weak order over potential partners, compiled into ranks.
 
     The constructor takes the order as ``tiers``: disjoint indifference
@@ -50,15 +49,11 @@ class PreferenceList:
     * ``num_acceptable``: how many listed players rank at or above
       ``self_rank`` (they form a prefix of ``order``).
 
-    Memory is linear in the list length.
+    Memory is linear in the list length.  Equality compares every field;
+    the hash leaves out ``ranks``.
     """
 
-    owner: int
-    order: tuple[int, ...]
-    ranks: Mapping[int, int] = field(hash=False)
-    self_rank: int
-    bottom_rank: int
-    num_acceptable: int
+    __slots__ = ("owner", "order", "ranks", "self_rank", "bottom_rank", "num_acceptable")
 
     def __init__(
         self,
@@ -92,24 +87,10 @@ class PreferenceList:
             ranks.update(dict.fromkeys(members, t if self_tied or t < self_tier else t + 1))
             if t < self_tier + self_tied:
                 num_acceptable = len(order)
-        self._set(owner, tuple(order), ranks, self_tier, len(tiers) + (not self_tied), num_acceptable)
-
-    def _set(
-        self,
-        owner: int,
-        order: tuple[int, ...],
-        ranks: dict[int, int],
-        self_rank: int,
-        bottom_rank: int,
-        num_acceptable: int,
-    ) -> None:
-        init = object.__setattr__
-        init(self, "owner", owner)
-        init(self, "order", order)
-        init(self, "ranks", MappingProxyType(ranks))
-        init(self, "self_rank", self_rank)
-        init(self, "bottom_rank", bottom_rank)
-        init(self, "num_acceptable", num_acceptable)
+        bottom = len(tiers) + (not self_tied)
+        Frozen.__init__(
+            self, owner, tuple(order), MappingProxyType(ranks), self_tier, bottom, num_acceptable
+        )
 
     @classmethod
     def _compiled(
@@ -123,8 +104,13 @@ class PreferenceList:
     ) -> PreferenceList:
         """Wrap an already compiled order; the caller has validated it."""
         pl = cls.__new__(cls)
-        pl._set(owner, order, ranks, self_rank, bottom_rank, num_acceptable)
+        Frozen.__init__(
+            pl, owner, order, MappingProxyType(ranks), self_rank, bottom_rank, num_acceptable
+        )
         return pl
+
+    def __hash__(self) -> int:
+        return hash((self.owner, self.order, self.self_rank, self.bottom_rank, self.num_acceptable))
 
     def __reduce__(self) -> tuple:
         # The read-only ``ranks`` view does not pickle; rebuild from the tiers.
@@ -188,48 +174,54 @@ class PreferenceList:
         )
 
 
-@dataclass(frozen=True)
-class Game:
+class Game(Frozen):
     """A set of players with one preference list each.
 
-    ``kind`` is ``"roommate"`` or ``"marriage"``; marriage games number men
-    ``1..m`` and women ``m+1..m+w`` and reject any same-sex entry in a
+    ``n`` players, ``profile`` their lists by owner id, ``kind`` is
+    ``"roommate"`` or ``"marriage"``; marriage games number the ``men``
+    ``1..m`` and the ``women`` ``m+1..m+w`` and reject any same-sex entry in a
     preference list.  All values are immutable after construction.
     """
 
-    n: int
-    profile: tuple[PreferenceList, ...]
-    kind: str = ROOMMATE
-    men: frozenset[int] = frozenset()
-    women: frozenset[int] = frozenset()
+    __slots__ = ("n", "profile", "kind", "men", "women")
 
-    def __post_init__(self) -> None:
-        if self.kind not in (ROOMMATE, MARRIAGE):
-            raise ValueError(f"unknown game kind {self.kind!r}")
-        if self.n < 0:
+    def __init__(
+        self,
+        n: int,
+        profile: tuple[PreferenceList, ...],
+        kind: str = ROOMMATE,
+        men: frozenset[int] = frozenset(),
+        women: frozenset[int] = frozenset(),
+    ) -> None:
+        Frozen.__init__(self, n, profile, kind, men, women)
+        if kind not in (ROOMMATE, MARRIAGE):
+            raise ValueError(f"unknown game kind {kind!r}")
+        if n < 0:
             raise ValueError("player count must be non-negative")
-        if len(self.profile) != self.n:
+        if len(profile) != n:
             raise ValueError("need exactly one preference list per player")
-        for i, pl in enumerate(self.profile, 1):
+        for i, pl in enumerate(profile, 1):
             if pl.owner != i:
                 raise ValueError("profile must be ordered by owner id 1..n")
-        if self.kind == MARRIAGE:
-            m = len(self.men)
-            if self.men != frozenset(range(1, m + 1)):
+        # A list's extreme ids decide both entry checks; only a bad list is
+        # walked, to name its first offender.
+        spans = [(pl, min(pl.order), max(pl.order)) for pl in profile if pl.order]
+        if kind == MARRIAGE:
+            m = len(men)
+            if men != frozenset(range(1, m + 1)):
                 raise ValueError("men must be numbered 1..m")
-            if self.women != frozenset(range(m + 1, self.n + 1)):
+            if women != frozenset(range(m + 1, n + 1)):
                 raise ValueError("women must be numbered m+1..n")
-            for pl in self.profile:
-                own_side = pl.owner <= m
-                for j in pl.order:
-                    if (j <= m) == own_side:
-                        raise ValueError(f"same-sex entry {j} in list of player {pl.owner}")
-        elif self.men or self.women:
+            for pl, lo, hi in spans:
+                if lo <= m if pl.owner <= m else hi > m:
+                    j = next(j for j in pl.order if (j <= m) == (pl.owner <= m))
+                    raise ValueError(f"same-sex entry {j} in list of player {pl.owner}")
+        elif men or women:
             raise ValueError("roommate games carry no side assignment")
-        for pl in self.profile:
-            for j in pl.order:
-                if not 1 <= j <= self.n:
-                    raise ValueError(f"player id {j} out of range in list of {pl.owner}")
+        for pl, lo, hi in spans:
+            if lo < 1 or hi > n:
+                j = next(j for j in pl.order if not 1 <= j <= n)
+                raise ValueError(f"player id {j} out of range in list of {pl.owner}")
 
     def players(self) -> range:
         return range(1, self.n + 1)
@@ -260,7 +252,7 @@ def raise_preferences(game: Game) -> Game:
     raised = tuple(pl.raised() for pl in game.profile)
     if all(new is old for new, old in zip(raised, game.profile)):
         return game
-    return replace(game, profile=raised)
+    return Game(game.n, raised, game.kind, game.men, game.women)
 
 
 def is_mutual(game: Game) -> bool:
@@ -290,8 +282,13 @@ def has_no_unacceptability(game: Game) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class GenParams:
+class GenParams(
+    namedtuple(
+        "GenParams",
+        "kind n n_men n_women tie_probability acceptability_probability mutual complete seed",
+        defaults=(ROOMMATE, 0, 0, 0, 0.0, 1.0, False, False, 0),
+    )
+):
     """Parameters for :func:`random_game`.
 
     ``n`` sizes a roommate game; ``n_men``/``n_women`` size a marriage game.
@@ -300,15 +297,7 @@ class GenParams:
     unordered pair so the relation comes out symmetric.
     """
 
-    kind: str = ROOMMATE
-    n: int = 0
-    n_men: int = 0
-    n_women: int = 0
-    tie_probability: float = 0.0
-    acceptability_probability: float = 1.0
-    mutual: bool = False
-    complete: bool = False
-    seed: int = 0
+    __slots__ = ()
 
 
 def random_game(params: GenParams) -> Game:
@@ -339,6 +328,8 @@ def random_game(params: GenParams) -> Game:
             return [j for j in range(1, n + 1) if j != i]
         return [j for j in range(1, n + 1) if (j <= m) != (i <= m)]
 
+    accept_p = params.acceptability_probability
+    tie_p = params.tie_probability
     acceptable: dict[int, set[int]] = {i: set() for i in range(1, n + 1)}
     if params.complete:
         for i in range(1, n + 1):
@@ -348,13 +339,13 @@ def random_game(params: GenParams) -> Game:
             for j in candidates(i):
                 if j < i:
                     continue
-                if rng.random() < params.acceptability_probability:
+                if rng.random() < accept_p:
                     acceptable[i].add(j)
                     acceptable[j].add(i)
     else:
         for i in range(1, n + 1):
             for j in candidates(i):
-                if rng.random() < params.acceptability_probability:
+                if rng.random() < accept_p:
                     acceptable[i].add(j)
 
     profile = []
@@ -363,11 +354,11 @@ def random_game(params: GenParams) -> Game:
         rng.shuffle(order)
         runs: list[list[int]] = []
         for j in order:
-            if runs and rng.random() < params.tie_probability:
+            if runs and rng.random() < tie_p:
                 runs[-1].append(j)
             else:
                 runs.append([j])
-        tied = bool(runs) and rng.random() < params.tie_probability
+        tied = bool(runs) and rng.random() < tie_p
         listed: list[int] = []
         ranks: dict[int, int] = {}
         for r, run in enumerate(runs):

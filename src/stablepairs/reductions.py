@@ -17,15 +17,17 @@ only an outside partner can break.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
+from ._frozen import Frozen
 from .errors import PreconditionError
 from .graph_matching import Graph, pad_bipartition, subdivision_graph
 from .model import MARRIAGE, ROOMMATE, Game, PreferenceList
 
 
-@dataclass(frozen=True)
-class PlayerRole:
+class PlayerRole(
+    namedtuple("PlayerRole", "kind vertex gadget layer", defaults=(None, None, None))
+):
     """Where a reduction player came from.
 
     ``kind`` is ``"A"`` or ``"B"`` for the two sides of the padded
@@ -34,22 +36,26 @@ class PlayerRole:
     roommate construction and ``None`` in the marriage one), and ``"Y"`` for
     the marriage construction's loner."""
 
-    kind: str
-    vertex: int | None = None
-    gadget: int | None = None
-    layer: int | None = None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ReductionArtifact:
-    """A constructed game plus the metadata needed to validate it."""
+class ReductionArtifact(Frozen):
+    """A constructed game plus the metadata needed to validate it.
 
-    game: Game
-    roles: dict[int, PlayerRole] = field(compare=False)
-    graph: Graph  # the padded subdivision the game encodes
-    n: int  # balanced side size
-    k: int
-    r: int  # padding gadget count
+    ``roles`` maps each player to its :class:`PlayerRole` and is left out of
+    equality and hashing; ``graph`` is the padded subdivision the game
+    encodes, ``n`` its balanced side size and ``r`` its padding gadget count.
+    """
+
+    __slots__ = ("game", "roles", "graph", "n", "k", "r")
+
+    def __init__(
+        self, game: Game, roles: dict[int, PlayerRole], graph: Graph, n: int, k: int, r: int
+    ) -> None:
+        Frozen.__init__(self, game, roles, graph, n, k, r)
+
+    def _key(self) -> tuple:
+        return (self.game, self.graph, self.n, self.k, self.r)
 
 
 def _prepare(g0: Graph, k: int) -> tuple[Graph, int, list[int], list[int], int]:

@@ -63,9 +63,8 @@ transpositions.
 from __future__ import annotations
 
 import time
-from collections import deque
+from collections import deque, namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 from itertools import chain, tee
 from operator import eq
 
@@ -91,23 +90,22 @@ from .stability import (
 )
 
 
-@dataclass(frozen=True)
-class SolverReport:
-    matching: Matching
-    deviation_count: int
-    elapsed: float
+class SolverReport(namedtuple("SolverReport", "matching deviation_count elapsed")):
+    """A solver's matching, the deviations it applied, and its wall time in seconds."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DynamicsTrace:
+class DynamicsTrace(
+    namedtuple("DynamicsTrace", "steps outcome final cycle_start", defaults=(None,))
+):
     """A better-response run: ``steps[t]`` is the matching at time ``t`` and
-    the witness applied to it.  ``cycle_start`` indexes the first occurrence
-    of the repeated matching when the outcome is ``"cycle"``."""
+    the witness applied to it.  ``outcome`` is ``"stable"``, ``"cycle"`` or
+    ``"step-limit"``, and ``final`` the last matching.  ``cycle_start``
+    indexes the first occurrence of the repeated matching when the outcome is
+    ``"cycle"``."""
 
-    steps: tuple[tuple[Matching, DeviationWitness], ...]
-    outcome: str  # "stable" | "cycle" | "step-limit"
-    final: Matching
-    cycle_start: int | None = None
+    __slots__ = ()
 
 
 def _listers(game: Game) -> list[list[int]]:
@@ -433,8 +431,9 @@ def _table_stable(targets: list[dict[int, tuple[int, ...]]], pi: list[int]) -> b
     """Whether no player has an open move; ``pi[q]`` is q's partner.
 
     A listed target ``t`` is open when single, ``pi[t] == t``; ``pi[0] == 0``
-    makes going alone (target 0) always open.  The scan runs no Python loop per player and stops at the first open move,
-    so one call costs at most O(n + targets read).
+    makes going alone (target 0) always open.  The scan runs no Python loop
+    per player and stops at the first open move, so one call costs at most
+    O(n + targets read).
     """
     moves, again = tee(chain.from_iterable(map(dict.__getitem__, targets, pi)))
     return not any(map(eq, map(pi.__getitem__, moves), again))

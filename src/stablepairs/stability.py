@@ -10,8 +10,8 @@ what makes core stability imply individual rationality.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 from enum import Enum
 
 from .matching import Matching
@@ -31,21 +31,17 @@ class Concept(Enum):
 DEVIATION_CONCEPTS = frozenset({Concept.NS, Concept.IS, Concept.CNS, Concept.CIS})
 
 
-@dataclass(frozen=True)
-class DeviationWitness:
-    """A profitable single-player move; ``target is None`` means going alone."""
+class DeviationWitness(namedtuple("DeviationWitness", "mover target concept")):
+    """A profitable single-player move by ``mover`` under ``concept``;
+    ``target is None`` means going alone."""
 
-    mover: int
-    target: int | None
-    concept: Concept
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PairBlockWitness:
+class PairBlockWitness(namedtuple("PairBlockWitness", "i j")):
     """A blocking pair; ``i == j`` encodes the degenerate one-player block."""
 
-    i: int
-    j: int
+    __slots__ = ()
 
 
 def _partners(game: Game, matching: Matching) -> tuple[int, ...]:

@@ -11,7 +11,9 @@ import tracemalloc
 import pytest
 
 from stablepairs import (
+    MARRIAGE,
     FormatError,
+    Game,
     GenParams,
     PreferenceList,
     has_no_unacceptability,
@@ -77,6 +79,34 @@ def test_parse_bare_self_midway():
 def test_parse_rejects_malformed(text):
     with pytest.raises(FormatError):
         parse_instance(text)
+
+
+@pytest.mark.parametrize(
+    "m, w, lists, message",
+    [
+        (2, 2, {1: [3, 2]}, "same-sex entry 2 in list of player 1"),
+        (2, 2, {1: [0]}, "same-sex entry 0 in list of player 1"),  # side check runs first
+        (2, 2, {3: [1, 4]}, "same-sex entry 4 in list of player 3"),
+        (2, 2, {4: [0, 9]}, "same-sex entry 9 in list of player 4"),
+        (2, 2, {3: [2, 0]}, "player id 0 out of range in list of 3"),
+        (2, 2, {2: [4, 9, 3]}, "player id 9 out of range in list of 2"),
+        (2, 2, {1: [9], 3: [4]}, "same-sex entry 4 in list of player 3"),  # every list first
+        (None, 3, {2: [1, 5, 0]}, "player id 5 out of range in list of 2"),
+        (None, 3, {1: [-1], 3: [4]}, "player id -1 out of range in list of 1"),
+    ],
+)
+def test_game_rejects_bad_entries_with_first_offender(m, w, lists, message):
+    n = w if m is None else m + w
+    profile = tuple(
+        PreferenceList(i, tuple(frozenset({j}) for j in lists.get(i, ())), len(lists.get(i, ())))
+        for i in range(1, n + 1)
+    )
+    with pytest.raises(ValueError) as caught:
+        if m is None:
+            Game(n, profile)
+        else:
+            Game(n, profile, MARRIAGE, frozenset(range(1, m + 1)), frozenset(range(m + 1, n + 1)))
+    assert str(caught.value) == message
 
 
 def test_parse_reports_line_numbers():

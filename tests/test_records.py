@@ -1,0 +1,155 @@
+"""The public records: immutable, and intact through pickle and copy.
+
+Every record is built from real generator, solver and reduction outputs.
+The module also guards what a CLI call imports: no record generates code at
+import, so ``dataclasses`` and its ``inspect``/``ast`` chain stay unloaded.
+"""
+
+from __future__ import annotations
+
+import copy
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from stablepairs import (
+    Concept,
+    DeviationWitness,
+    DynamicsTrace,
+    Game,
+    GenParams,
+    Graph,
+    Matching,
+    PaddingRecord,
+    PairBlockWitness,
+    PlayerRole,
+    PreferenceList,
+    ReductionArtifact,
+    SolverReport,
+    compute_cns,
+    find_deviation,
+    find_pair_block,
+    mmm_to_marriage_ns,
+    mmm_to_roommate_is,
+    pad_bipartition,
+    parse_instance,
+    random_game,
+    run_dynamics,
+    subdivision_graph,
+)
+from support import CYCLIC3, SMALL_GRAPHS
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _records() -> dict[type, tuple[object, tuple[str, ...]]]:
+    """One real instance of every public record, with its field names."""
+    params = GenParams(
+        kind="roommate", n=9, tie_probability=0.3, acceptability_probability=0.7, seed=4
+    )
+    game = random_game(params)
+    marriage = random_game(
+        GenParams(kind="marriage", n_men=4, n_women=3, tie_probability=0.4, seed=2)
+    )
+    cyclic = parse_instance(CYCLIC3)
+    singles = Matching.singletons(cyclic.n)
+    witness = find_deviation(cyclic, singles, Concept.NS)
+    block = find_pair_block(cyclic, singles, strict=False)
+    trace = run_dynamics(cyclic, Concept.NS, singles, 20)
+    assert witness is not None and block is not None and trace.outcome == "cycle"
+    graph = subdivision_graph(SMALL_GRAPHS["K13"])
+    _, padding = pad_bipartition(graph)
+    artifact = mmm_to_roommate_is(SMALL_GRAPHS["P3"], 1)
+    assert padding.r > 0 and artifact.roles
+    role = next(r for r in artifact.roles.values() if r.layer is not None)
+    pl = max(marriage.profile, key=lambda pl: len(pl.order))
+    assert len(pl.order) > len(pl.tiers) > 1
+    return {
+        PreferenceList: (
+            pl,
+            ("owner", "order", "ranks", "self_rank", "bottom_rank", "num_acceptable"),
+        ),
+        Game: (marriage, ("n", "profile", "kind", "men", "women")),
+        GenParams: (
+            params,
+            (
+                "kind", "n", "n_men", "n_women", "tie_probability",
+                "acceptability_probability", "mutual", "complete", "seed",
+            ),
+        ),
+        Graph: (graph, ("n", "edges", "parts")),
+        PaddingRecord: (padding, ("r", "anchors", "stubs")),
+        PlayerRole: (role, ("kind", "vertex", "gadget", "layer")),
+        ReductionArtifact: (artifact, ("game", "roles", "graph", "n", "k", "r")),
+        DeviationWitness: (witness, ("mover", "target", "concept")),
+        PairBlockWitness: (block, ("i", "j")),
+        SolverReport: (compute_cns(game), ("matching", "deviation_count", "elapsed")),
+        DynamicsTrace: (trace, ("steps", "outcome", "final", "cycle_start")),
+    }
+
+
+RECORDS = _records()
+
+
+@pytest.mark.parametrize("cls", list(RECORDS), ids=lambda cls: cls.__name__)
+def test_record_round_trips_and_is_immutable(cls):
+    record, names = RECORDS[cls]
+    assert type(record) is cls
+    before = hash(record)
+    for clone in (
+        pickle.loads(pickle.dumps(record)),
+        copy.copy(record),
+        copy.deepcopy(record),
+    ):
+        assert type(clone) is cls
+        assert clone == record and not clone != record
+        assert hash(clone) == before
+        for name in names:
+            assert getattr(clone, name) == getattr(record, name)
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert hash(record) == before
+
+
+def test_reduction_artifacts_differing_only_in_roles_are_equal():
+    a = mmm_to_marriage_ns(SMALL_GRAPHS["P4"], 2)
+    b = ReductionArtifact(game=a.game, roles={}, graph=a.graph, n=a.n, k=a.k, r=a.r)
+    assert a.roles and a == b and hash(a) == hash(b)
+    other_k = ReductionArtifact(a.game, a.roles, a.graph, a.n, a.k + 1, a.r)
+    assert a != other_k and a.roles is other_k.roles
+
+
+def test_preference_list_compares_ranks_but_does_not_hash_them():
+    a = PreferenceList(1, (frozenset({2, 3}), frozenset({4})), 1, True)
+    b = PreferenceList(1, (frozenset({2}), frozenset({3, 4})), 1, True)
+    assert a.ranks != b.ranks and a.order == b.order
+    assert a != b and not a == b and hash(a) == hash(b)
+    assert a == PreferenceList(1, (frozenset({2, 3}), frozenset({4})), 1, True)
+
+
+def test_cli_imports_no_code_generating_modules():
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    probe = (
+        "import stablepairs.cli, sys; "
+        "print(' '.join(m for m in ('dataclasses', 'inspect', 'ast', 'dis', 'tokenize', "
+        "'typing') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == []
+    game = "roommate 2\n1: 2\n2: 1\n"
+    solved = subprocess.run(
+        [sys.executable, "-S", "-m", "stablepairs.cli", "solve", "--concept", "cns", "-"],
+        env=env, input=game, capture_output=True, text=True,
+    )
+    assert solved.returncode == 0, solved.stderr
+    assert solved.stdout.splitlines()[-1] == "1 2"

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -496,8 +495,8 @@ def test_incremental_dynamics_match_full_scan():
             params = GenParams(kind="marriage", n_men=rng.randint(0, 7), n_women=rng.randint(0, 7))
         else:
             params = GenParams(kind="roommate", n=rng.randint(0, 14))
-        game = random_game(replace(
-            params, tie_probability=tie, acceptability_probability=accept, seed=seed
+        game = random_game(params._replace(
+            tie_probability=tie, acceptability_probability=accept, seed=seed
         ))
         start = random_matching(game.n, rng)
         for concept in concepts:
