@@ -10,15 +10,13 @@ from .errors import FormatError, InternalCheckError, PreconditionError
 from .graph_matching import (
     Graph,
     PaddingRecord,
-    is_maximal_matching,
     max_matching,
     minimum_maximal_matching,
     pad_bipartition,
     parse_graph,
-    serialize_graph,
     subdivision_graph,
 )
-from .matching import Matching, enumerate_matchings, parse_matching, serialize_matching
+from .matching import Matching, parse_matching, serialize_matching
 from .model import (
     MARRIAGE,
     ROOMMATE,
@@ -26,7 +24,6 @@ from .model import (
     GenParams,
     PreferenceList,
     has_no_unacceptability,
-    is_mutual,
     parse_instance,
     raise_preferences,
     random_game,
@@ -49,7 +46,6 @@ from .solvers import (
     exists_ns_is_roommate_complete,
     gale_shapley,
     run_dynamics,
-    search_stable,
 )
 from .stability import (
     Concept,
@@ -85,15 +81,12 @@ __all__ = [
     "compute_cns",
     "compute_is_marriage",
     "compute_ns_marriage_complete",
-    "enumerate_matchings",
     "exists_ns_is_roommate_complete",
     "find_deviation",
     "find_pair_block",
     "gale_shapley",
     "has_no_unacceptability",
     "is_individually_rational",
-    "is_maximal_matching",
-    "is_mutual",
     "is_stable",
     "max_matching",
     "minimum_maximal_matching",
@@ -106,8 +99,6 @@ __all__ = [
     "raise_preferences",
     "random_game",
     "run_dynamics",
-    "search_stable",
-    "serialize_graph",
     "serialize_instance",
     "serialize_matching",
     "subdivision_graph",

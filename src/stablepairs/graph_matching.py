@@ -111,12 +111,6 @@ def parse_graph(text: str) -> Graph:
     return Graph(header[0], frozenset(edges))
 
 
-def serialize_graph(g: Graph) -> str:
-    lines = [f"graph {g.n} {len(g.edges)}"]
-    lines.extend(f"{u} {v}" for u, v in sorted(g.edges))
-    return "\n".join(lines) + "\n"
-
-
 def max_matching(g: Graph) -> frozenset[Edge]:
     """A maximum-cardinality matching; perfect iff ``2 * len(result) == g.n``.
 
@@ -200,19 +194,6 @@ def max_matching(g: Graph) -> frozenset[Edge]:
                 match[prev] = end
                 end = nxt
     return frozenset((v, match[v]) for v in range(1, n + 1) if v < match[v])
-
-
-def is_maximal_matching(g: Graph, m: Iterable[tuple[int, int]]) -> bool:
-    """True iff ``m`` is a matching of ``g`` to which no edge can be added."""
-    edges = _normalize(m)
-    covered: set[int] = set()
-    for u, v in edges:
-        if (u, v) not in g.edges:
-            raise ValueError(f"({u}, {v}) is not an edge of the graph")
-        if u in covered or v in covered:
-            raise ValueError("edge set is not a matching")
-        covered.update((u, v))
-    return all(u in covered or v in covered for u, v in g.edges)
 
 
 def minimum_maximal_matching(g: Graph, cap: int = 20) -> int:

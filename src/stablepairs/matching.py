@@ -1,8 +1,8 @@
-"""Matchings as partitions into pairs and singletons, plus their enumeration."""
+"""Matchings as partitions into pairs and singletons, and their text format."""
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 
 from .errors import FormatError
 from .model import Game
@@ -38,18 +38,6 @@ class Matching:
     def singletons(cls, n: int) -> Matching:
         return cls(range(1, n + 1))
 
-    @classmethod
-    def from_pairs(cls, n: int, pairs: Iterable[tuple[int, int]]) -> Matching:
-        partner = list(range(1, n + 1))
-        for i, j in pairs:
-            if i == j:
-                raise ValueError("a pair must join two distinct players")
-            if partner[i - 1] != i or partner[j - 1] != j:
-                raise ValueError("player appears in more than one pair")
-            partner[i - 1] = j
-            partner[j - 1] = i
-        return cls(partner)
-
     @property
     def n(self) -> int:
         return len(self._partner)
@@ -59,12 +47,6 @@ class Matching:
 
     def partner_of(self, i: int) -> int:
         return self._partner[i - 1]
-
-    def pairs(self) -> list[tuple[int, int]]:
-        return [(i, j) for i, j in enumerate(self._partner, 1) if i < j]
-
-    def singles(self) -> list[int]:
-        return [i for i, j in enumerate(self._partner, 1) if i == j]
 
     def cells(self) -> list[tuple[int, ...]]:
         """All coalitions, ordered by their smallest member."""
@@ -91,6 +73,8 @@ class Matching:
         if target is None:
             p[mover - 1] = mover
         else:
+            if not 1 <= target <= self.n:
+                raise ValueError(f"target {target} out of range")
             if target == mover:
                 raise ValueError("mover cannot target itself; use target=None")
             if self._partner[target - 1] != target:
@@ -170,35 +154,3 @@ def serialize_matching(matching: Matching) -> str:
             out.append(f"{cell[0]} {cell[1]}")
     return "\n".join(out) + ("\n" if out else "")
 
-
-def enumerate_matchings(n: int) -> Iterator[Matching]:
-    """Yield every partition of ``1..n`` into pairs and singletons exactly once.
-
-    Order: the smallest undecided player is paired with each larger player in
-    ascending order first, then left single, recursing on the rest.  The
-    number of results is the involution number I(n) with
-    ``I(n) = I(n-1) + (n-1) * I(n-2)``.
-    """
-    partner = list(range(n + 1))
-    decided = [False] * (n + 1)
-
-    def rec(i: int) -> Iterator[Matching]:
-        while i <= n and decided[i]:
-            i += 1
-        if i > n:
-            yield Matching(partner[1:])
-            return
-        decided[i] = True
-        for j in range(i + 1, n + 1):
-            if not decided[j]:
-                decided[j] = True
-                partner[i] = j
-                partner[j] = i
-                yield from rec(i + 1)
-                decided[j] = False
-                partner[i] = i
-                partner[j] = j
-        yield from rec(i + 1)
-        decided[i] = False
-
-    yield from rec(1)

@@ -255,18 +255,6 @@ def raise_preferences(game: Game) -> Game:
     return Game(game.n, raised, game.kind, game.men, game.women)
 
 
-def is_mutual(game: Game) -> bool:
-    """True iff acceptability is symmetric between every pair of players."""
-    profile = game.profile
-    for pl in profile:
-        i = pl.owner
-        for j in pl.order[: pl.num_acceptable]:
-            pj = profile[j - 1]
-            if pj.ranks.get(i, pj.bottom_rank) > pj.self_rank:
-                return False
-    return True
-
-
 def has_no_unacceptability(game: Game) -> bool:
     """True iff everyone accepts every potential partner.
 

@@ -13,22 +13,23 @@ mover too when it leaves a pair to go alone.  The lowest flagged player is
 checked next and unflagged if it has no deviation; once no flag is left,
 one full verifier scan confirms the result.
 
-The brute-force search enumerates matchings in the documented order of
-:func:`stablepairs.matching.enumerate_matchings` but skips, provably without
-affecting which matchings are stable, (b) pairs in which one member strictly
-prefers being alone and the other would not veto its leaving, and (c)
-branches in which two already-final singletons could never coexist in a
-stable matching.  Only CNS and CIS know a veto: the abandoned partner's,
-when it strictly prefers the pair to being alone.  Without a veto the
-leaver deviates to the empty coalition (NS, IS, CNS, CIS) or blocks alone
-(IR, core, strict core) whatever the rest of the matching is; for every
-concept but CNS and CIS, (b) keeps exactly the mutually acceptable pairs.
-Rule (b) subsumes rule (a), the skip of same-sex pairs in marriage games:
-such players never list each other, and every player ranks unlisted players
-below being alone, so each would leave the other and neither vetoes.  Both
-rules are tabulated once, before the search, in one O(n + L) pass over the
-compiled ranks (``L`` listed entries); the search keeps no dense rank table,
-and its loop reads no rank outside the leaf test.
+The brute-force search enumerates matchings depth first: the smallest
+undecided player takes each larger undecided candidate in ascending order,
+then goes alone.  It skips, provably without affecting which matchings are
+stable, (b) pairs in which one member strictly prefers being alone and the
+other would not veto its leaving, and (c) branches in which two
+already-final singletons could never coexist in a stable matching.  Only CNS
+and CIS know a veto: the abandoned partner's, when it strictly prefers the
+pair to being alone (:func:`stablepairs.stability._consent`).  Without a
+veto the leaver deviates to the empty coalition (NS, IS, CNS, CIS) or blocks
+alone (IR, core, strict core) whatever the rest of the matching is; for
+every concept but CNS and CIS, (b) keeps exactly the mutually acceptable
+pairs.  Rule (b) subsumes rule (a), the skip of same-sex pairs in marriage
+games: such players never list each other, and every player ranks unlisted
+players below being alone, so each would leave the other and neither vetoes.
+Both rules are tabulated once, before the search, in one O(n + L) pass over
+the compiled ranks (``L`` listed entries); the search keeps no dense rank
+table, and its loop reads no rank outside the leaf test.
 
 Under NS, IS, CNS and CIS a leaf is stable iff no player would move to a
 single player or go alone.  :func:`_target_table` lists, once per search,
@@ -82,6 +83,7 @@ from .stability import (
     Concept,
     DEVIATION_CONCEPTS,
     DeviationWitness,
+    _consent,
     _move_targets,
     _player_deviation,
     find_deviation,
@@ -128,8 +130,7 @@ def _moves(
     :func:`find_deviation` then confirms.
     """
     profile = game.profile
-    need_target = concept in (Concept.IS, Concept.CIS)
-    need_left = concept in (Concept.CNS, Concept.CIS)
+    need_target, need_left = _consent(concept)
     listers = _listers(game)
     # A clear flag means the player has no deviation; none is set below lo.
     dirty = bytearray(1) + b"\x01" * game.n
@@ -355,7 +356,7 @@ def _prune_tables(game: Game, concept: Concept) -> tuple[list[list[int]], list[s
     each player walks only the prefix of its ``order`` it ranks at or above
     being alone.
     """
-    vetoes = concept in (Concept.CNS, Concept.CIS)
+    _, vetoes = _consent(concept)
     if concept in (Concept.NS, Concept.CNS):
         clashes = lambda a, b: a < 0 or b < 0
     elif concept in (Concept.IS, Concept.CIS):
@@ -402,8 +403,7 @@ def _target_table(
     table can be read along the whole partner list.  Set-up costs
     O(sum over q of (1 + deg_q) * len(order_q)).
     """
-    need_target = concept in (Concept.IS, Concept.CIS)
-    need_left = concept in (Concept.CNS, Concept.CIS)
+    need_target, need_left = _consent(concept)
     neighbours = [[q] for q in range(game.n + 1)]
     for i, row in enumerate(cand):
         for j in row:
@@ -497,12 +497,15 @@ def _run_search(
     stop_after: int | None = None,
     node_budget: int | None = None,
 ) -> tuple[Matching | None, int, bool]:
-    """Depth-first enumeration of candidate matchings in the documented order.
+    """Depth-first enumeration of candidate matchings.
 
-    Returns ``(first stable matching or None, stable count, exhausted)``;
-    ``exhausted`` is False when the search stopped early on ``stop_after``
-    or ``node_budget``.  Every visit to a search position counts as one
-    node, leaves included.  The recursion over players runs on an explicit
+    The smallest undecided player takes each larger undecided candidate in
+    ascending order, then goes alone; the first stable matching is the
+    first in that order.  Returns ``(first stable matching or None, stable
+    count, exhausted)``; ``exhausted`` is False when the search stopped
+    early on ``stop_after`` or ``node_budget``.  Every visit to a search
+    position counts as one node, leaves included, so the budget counts the
+    search as rules (b)-(d) reduce it.  The recursion over players runs on an explicit
     stack, so the depth is not limited by the interpreter's.  Rules (b) and
     (c) come from :func:`_prune_tables` in O(n + L) time and memory for
     ``L`` listed entries, and deviation-concept leaves from
@@ -618,28 +621,6 @@ def brute_force(
         )
     found, count, _ = _run_search(game, concept, stop_after=stop_after)
     return found, count
-
-
-def search_stable(
-    game: Game, concept: Concept, node_budget: int | None = None
-) -> tuple[str, Matching | None]:
-    """Existence-only brute force with an optional work budget.
-
-    Returns ``("found", matching)``, ``("none", None)`` after exhausting the
-    space, or ``("budget", None)`` when the budget ran out undecided.  The
-    budget counts the nodes of the search as reduced by rules (b)-(d).
-    Under CNS and CIS, rule (b) also drops cross-side pairs that one member
-    would leave unvetoed, so fewer nodes are counted there than an unpruned
-    cross-side search would visit.
-    """
-    found, _, exhausted = _run_search(
-        game, concept, stop_after=1, node_budget=node_budget
-    )
-    if found is not None:
-        return "found", found
-    if exhausted:
-        return "none", None
-    return "budget", None
 
 
 def run_dynamics(

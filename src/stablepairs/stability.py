@@ -31,6 +31,16 @@ class Concept(Enum):
 DEVIATION_CONCEPTS = frozenset({Concept.NS, Concept.IS, Concept.CNS, Concept.CIS})
 
 
+def _consent(concept: Concept) -> tuple[bool, bool]:
+    """Whose consent a move needs: ``(the joined singleton's, the abandoned partner's)``.
+
+    A consenting player must not become worse off.  IS needs the first, CNS
+    the second, CIS both; NS and the concepts without single-player moves
+    need neither.
+    """
+    return concept in (Concept.IS, Concept.CIS), concept in (Concept.CNS, Concept.CIS)
+
+
 class DeviationWitness(namedtuple("DeviationWitness", "mover target concept")):
     """A profitable single-player move by ``mover`` under ``concept``;
     ``target is None`` means going alone."""
@@ -69,18 +79,17 @@ def find_deviation(
 ) -> DeviationWitness | None:
     """Search for a profitable consented move; ``None`` iff the matching is stable.
 
-    Consent rules: IS requires the joined singleton not to become worse off,
-    CNS requires the abandoned partner not to become worse off, CIS requires
-    both, NS neither.  The witness is deterministic: smallest mover id, then
-    the mover's most preferred target, ties broken by smallest target id with
+    Consent rules, as :func:`_consent` states them: IS requires the joined
+    singleton not to become worse off, CNS the abandoned partner, CIS both,
+    NS neither.  The witness is deterministic: smallest mover id, then the
+    mover's most preferred target, ties broken by smallest target id with
     the empty coalition considered last among equally ranked targets.  Each
     player's scan stops at its current partner's rank, so one call costs
     O(n + sum of list lengths).
     """
     if concept not in DEVIATION_CONCEPTS:
         raise ValueError(f"{concept} is not a single-player deviation concept")
-    need_target = concept in (Concept.IS, Concept.CIS)
-    need_left = concept in (Concept.CNS, Concept.CIS)
+    need_target, need_left = _consent(concept)
     profile = game.profile
     partner_of = _partners(game, matching)
     for pl in profile:

@@ -2,15 +2,17 @@
 
 Oracles here deliberately avoid the library's optimized code paths: matching
 counts come from the involution recurrence, maximum matchings from plain
-exhaustive search, stability counts from filtering the unrestricted
-enumeration through the definitional verifiers, better-response dynamics
-from a full verifier scan after every move, and preference ranks from the
-public tier fields alone.
+exhaustive search, stability counts from filtering this module's own
+unrestricted enumeration of matchings through the definitional verifiers,
+maximality from a direct edge scan, better-response dynamics from a full
+verifier scan after every move, and preference ranks and acceptability from
+the public tier fields alone.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Iterable, Iterator
 
 from stablepairs import (
     Concept,
@@ -20,12 +22,12 @@ from stablepairs import (
     Graph,
     Matching,
     PreferenceList,
-    enumerate_matchings,
     find_deviation,
     is_stable,
     parse_instance,
     random_game,
 )
+from stablepairs.solvers import _run_search
 
 CYCLIC3 = "roommate 3\n1: 2 3\n2: 3 1\n3: 1 2\n"
 
@@ -59,6 +61,74 @@ def definitional_rank(pl: PreferenceList, j: int) -> int:
 
 def definitional_accepts(pl: PreferenceList, j: int) -> bool:
     return definitional_rank(pl, j) <= definitional_rank(pl, pl.owner)
+
+
+def definitional_mutual(game: Game) -> bool:
+    """True iff acceptability is symmetric between every pair of players."""
+    players = game.players()
+    return all(
+        definitional_accepts(game.prefs(i), j) == definitional_accepts(game.prefs(j), i)
+        for i in players
+        for j in players
+    )
+
+
+def pairs_of(m: Matching) -> list[tuple[int, int]]:
+    """The matching's pairs, ordered by their smaller member."""
+    return [cell for cell in m.cells() if len(cell) == 2]
+
+
+def singles_of(m: Matching) -> list[int]:
+    """The matching's single players, ascending."""
+    return [cell[0] for cell in m.cells() if len(cell) == 1]
+
+
+def enumerate_matchings(n: int) -> Iterator[Matching]:
+    """Yield every partition of ``1..n`` into pairs and singletons exactly once.
+
+    Order: the smallest undecided player is paired with each larger
+    undecided player in ascending order first, then left single, and the
+    rest is enumerated the same way.  The number of results is the
+    involution number I(n) with ``I(n) = I(n-1) + (n-1) * I(n-2)``.
+    """
+    partner = list(range(n + 1))
+
+    def rec(undecided: list[int]) -> Iterator[Matching]:
+        if not undecided:
+            yield Matching(partner[1:])
+            return
+        i, rest = undecided[0], undecided[1:]
+        for k, j in enumerate(rest):
+            partner[i], partner[j] = j, i
+            yield from rec(rest[:k] + rest[k + 1 :])
+            partner[i], partner[j] = i, j
+        yield from rec(rest)
+
+    yield from rec(list(range(1, n + 1)))
+
+
+def is_maximal_matching(g: Graph, m: Iterable[tuple[int, int]]) -> bool:
+    """True iff ``m`` is a matching of ``g`` to which no edge can be added."""
+    covered: set[int] = set()
+    for u, v in {(min(u, v), max(u, v)) for u, v in m}:
+        if (u, v) not in g.edges:
+            raise ValueError(f"({u}, {v}) is not an edge of the graph")
+        if u in covered or v in covered:
+            raise ValueError("edge set is not a matching")
+        covered.update((u, v))
+    return all(u in covered or v in covered for u, v in g.edges)
+
+
+def search_status(
+    game: Game, concept: Concept, node_budget: int | None = None
+) -> tuple[str, Matching | None]:
+    """Existence-only search: ``("found", matching)``, ``("none", None)``
+    after exhausting the space, or ``("budget", None)`` when ``node_budget``
+    ran out undecided."""
+    found, _, exhausted = _run_search(game, concept, stop_after=1, node_budget=node_budget)
+    if found is not None:
+        return "found", found
+    return ("none" if exhausted else "budget"), None
 
 
 def random_matching(n: int, rng: random.Random) -> Matching:

@@ -29,7 +29,6 @@ from stablepairs import (
     mmm_to_roommate_is,
     random_game,
     run_dynamics,
-    search_stable,
 )
 from stablepairs.cli import main
 from support import (
@@ -38,6 +37,7 @@ from support import (
     exhaustive_max_matching_size,
     random_graph,
     random_matching,
+    search_status,
 )
 
 
@@ -202,7 +202,7 @@ def test_criterion_07_marriage_ns_reduction_soundness():
         bound = minimum_maximal_matching(base.graph)
         for k in range(0, base.n + 1):
             artifact = mmm_to_marriage_ns(graph, k)
-            status, found = search_stable(artifact.game, Concept.NS, node_budget=budget)
+            status, found = search_status(artifact.game, Concept.NS, node_budget=budget)
             if status == "budget":
                 skipped.append((name, k))
                 continue
@@ -234,7 +234,7 @@ def test_marriage_ns_reduction_decides_every_small_cell():
         bound = minimum_maximal_matching(base.graph)
         for k in range(0, base.n + 1):
             cells += 1
-            status, _ = search_stable(mmm_to_marriage_ns(graph, k).game, Concept.NS, budget)
+            status, _ = search_status(mmm_to_marriage_ns(graph, k).game, Concept.NS, budget)
             if status == "budget":
                 undecided.append((name, k))
             elif (status == "found") != (bound <= k):
@@ -254,7 +254,7 @@ def test_criterion_08_roommate_is_reduction_soundness():
             if artifact.game.n > 12:
                 continue
             cells += 1
-            status, found = search_stable(artifact.game, Concept.IS)
+            status, found = search_status(artifact.game, Concept.IS)
             if (status == "found") != (bound <= k):
                 mismatches.append((name, k))
             if found is not None and find_deviation(artifact.game, found, Concept.IS):

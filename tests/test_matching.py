@@ -1,4 +1,5 @@
-"""Matching representation, serialization round-trips, and enumeration counts."""
+"""Matching representation, serialization round-trips, and the counts of the
+test oracles' own enumeration (``support.enumerate_matchings``)."""
 
 from __future__ import annotations
 
@@ -10,22 +11,27 @@ import pytest
 from stablepairs import (
     FormatError,
     Matching,
-    enumerate_matchings,
     parse_matching,
     serialize_matching,
 )
-from support import involution_count, random_matching
+from support import (
+    enumerate_matchings,
+    involution_count,
+    pairs_of,
+    random_matching,
+    singles_of,
+)
 
 
 def test_parse_pairs_and_singletons():
     m = parse_matching("1 2\n3 -\n", 3)
-    assert m.pairs() == [(1, 2)]
-    assert m.singles() == [3]
+    assert pairs_of(m) == [(1, 2)]
+    assert singles_of(m) == [3]
 
 
 def test_parse_accepts_comments_and_reversed_pairs():
     m = parse_matching("# a comment\n2 1\n3 -\n", 3)
-    assert m == Matching.from_pairs(3, [(1, 2)])
+    assert m == Matching([2, 1, 3])
 
 
 @pytest.mark.parametrize(
@@ -72,16 +78,19 @@ def test_matching_invariants_enforced():
 
 
 def test_with_move_semantics():
-    m = Matching.from_pairs(4, [(1, 2)])
+    m = Matching([2, 1, 3, 4])
     moved = m.with_move(1, 3)
-    assert moved.pairs() == [(1, 3)]
-    assert moved.singles() == [2, 4]
+    assert pairs_of(moved) == [(1, 3)]
+    assert singles_of(moved) == [2, 4]
     alone = m.with_move(1, None)
-    assert alone.singles() == [1, 2, 3, 4]
+    assert singles_of(alone) == [1, 2, 3, 4]
     with pytest.raises(ValueError):
         m.with_move(3, 2)  # target 2 is not single
     with pytest.raises(ValueError):
         m.with_move(3, 3)
+    for target in (0, -1, m.n + 1):
+        with pytest.raises(ValueError, match=rf"^target {target} out of range$"):
+            m.with_move(3, target)
 
 
 def test_enumerate_counts_small():
@@ -91,7 +100,7 @@ def test_enumerate_counts_small():
 
 
 def test_enumerate_n3_contents_and_order():
-    got = [tuple(sorted(m.pairs())) for m in enumerate_matchings(3)]
+    got = [tuple(sorted(pairs_of(m))) for m in enumerate_matchings(3)]
     assert got == [((1, 2),), ((1, 3),), ((2, 3),), ()]
 
 

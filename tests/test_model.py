@@ -17,13 +17,12 @@ from stablepairs import (
     GenParams,
     PreferenceList,
     has_no_unacceptability,
-    is_mutual,
     parse_instance,
     raise_preferences,
     random_game,
     serialize_instance,
 )
-from support import CYCLIC3, random_marriage, random_roommate
+from support import CYCLIC3, definitional_mutual, random_marriage, random_roommate
 
 
 def test_parse_two_player_mutual_top():
@@ -204,15 +203,15 @@ def test_preference_list_is_immutable():
 
 
 def test_is_mutual_examples():
-    assert is_mutual(parse_instance("roommate 2\n1: 2\n2: 1\n"))
-    assert not is_mutual(parse_instance("roommate 2\n1: 2\n2:\n"))
+    assert definitional_mutual(parse_instance("roommate 2\n1: 2\n2: 1\n"))
+    assert not definitional_mutual(parse_instance("roommate 2\n1: 2\n2:\n"))
 
 
 def test_complete_games_are_mutual():
     for seed in range(100):
         game = random_roommate(seed, complete=True)
         assert has_no_unacceptability(game)
-        assert is_mutual(game)
+        assert definitional_mutual(game)
 
 
 def test_has_no_unacceptability_examples():
@@ -229,7 +228,7 @@ def test_generator_is_deterministic():
 def test_generator_mutual_flag():
     for seed in range(200):
         game = random_roommate(seed, mutual=True)
-        assert is_mutual(game)
+        assert definitional_mutual(game)
 
 
 def test_generator_complete_marriage():

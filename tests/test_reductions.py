@@ -12,10 +12,9 @@ from stablepairs import (
     mmm_to_marriage_ns,
     mmm_to_roommate_is,
     pad_bipartition,
-    search_stable,
     subdivision_graph,
 )
-from support import SMALL_GRAPHS
+from support import SMALL_GRAPHS, search_status
 
 SINGLE_EDGE = Graph.build(2, [(1, 2)])
 
@@ -76,7 +75,7 @@ def test_marriage_reduction_soundness_single_edge_all_k():
     mmm = minimum_maximal_matching(padded)
     for k in range(0, 4):
         artifact = mmm_to_marriage_ns(SINGLE_EDGE, k)
-        status, found = search_stable(artifact.game, Concept.NS)
+        status, found = search_status(artifact.game, Concept.NS)
         assert status in ("found", "none")
         assert (status == "found") == (mmm <= k), k
         if found is not None:
@@ -91,7 +90,7 @@ def test_marriage_reduction_k_equals_n_always_solvable():
         # k = n means no filler players at all
         full = mmm_to_marriage_ns(SMALL_GRAPHS[name], artifact.n)
         assert not [r for r in full.roles.values() if r.kind == "X"]
-        status, _ = search_stable(full.game, Concept.NS)
+        status, _ = search_status(full.game, Concept.NS)
         assert status == "found"
 
 
@@ -101,7 +100,7 @@ def test_roommate_reduction_soundness_single_edge():
     assert mmm == 2
     for k in (1, 2, 3):
         artifact = mmm_to_roommate_is(SINGLE_EDGE, k)
-        status, _ = search_stable(artifact.game, Concept.IS)
+        status, _ = search_status(artifact.game, Concept.IS)
         assert (status == "found") == (mmm <= k), k
 
 
@@ -109,9 +108,9 @@ def test_empty_graph_reductions():
     empty = SMALL_GRAPHS["empty"]
     marriage = mmm_to_marriage_ns(empty, 0)
     assert marriage.game.n == 1  # just the loner
-    status, _ = search_stable(marriage.game, Concept.NS)
+    status, _ = search_status(marriage.game, Concept.NS)
     assert status == "found"
     roommate = mmm_to_roommate_is(empty, 0)
     assert roommate.game.n == 0
-    status, _ = search_stable(roommate.game, Concept.IS)
+    status, _ = search_status(roommate.game, Concept.IS)
     assert status == "found"

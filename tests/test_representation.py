@@ -22,20 +22,20 @@ from stablepairs import (
     find_deviation,
     has_no_unacceptability,
     is_individually_rational,
-    is_mutual,
     mmm_to_marriage_ns,
     mmm_to_roommate_is,
     parse_instance,
     raise_preferences,
     random_game,
-    search_stable,
 )
 from support import (
     SMALL_GRAPHS,
     definitional_accepts,
+    definitional_mutual,
     definitional_rank,
     random_marriage,
     random_roommate,
+    search_status,
 )
 
 
@@ -73,13 +73,14 @@ def check_game(game: Game) -> None:
         for j in players
         if j != i and not (game.is_marriage and (i <= m) == (j <= m))
     )
-    mutual = all(
-        definitional_accepts(game.prefs(i), j) == definitional_accepts(game.prefs(j), i)
+    accepts = {
+        (i, j): game.prefs(i).rank_of(j) <= game.prefs(i).self_rank
         for i in players
         for j in players
-    )
+    }
+    mutual = all(accepts[i, j] == accepts[j, i] for i in players for j in players)
     assert has_no_unacceptability(game) == complete
-    assert is_mutual(game) == mutual
+    assert definitional_mutual(game) == mutual
 
 
 def test_random_games_raised_and_unraised():
@@ -155,7 +156,7 @@ def test_sparse_search_memory_is_linear():
     # not fit.
     tracemalloc.start()
     try:
-        status, _ = search_stable(game, Concept.CNS, node_budget=200_000)
+        status, _ = search_status(game, Concept.CNS, node_budget=200_000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

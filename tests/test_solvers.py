@@ -16,7 +16,6 @@ from stablepairs import (
     compute_cns,
     compute_is_marriage,
     compute_ns_marriage_complete,
-    enumerate_matchings,
     exists_ns_is_roommate_complete,
     find_deviation,
     find_pair_block,
@@ -28,7 +27,6 @@ from stablepairs import (
     parse_instance,
     random_game,
     run_dynamics,
-    search_stable,
 )
 from stablepairs import solvers
 from stablepairs.model import GenParams
@@ -38,12 +36,16 @@ from support import (
     CYCLIC3,
     SMALL_GRAPHS,
     definitional_move,
+    enumerate_matchings,
     full_scan_dynamics,
     naive_stable_count,
+    pairs_of,
     random_listed_game,
     random_marriage,
     random_matching,
     random_roommate,
+    search_status,
+    singles_of,
 )
 
 ALL_UNACCEPTABLE = "roommate 3\n1:\n2:\n3:\n"
@@ -82,14 +84,14 @@ def test_cis_ir_mutually_unacceptable_players_stay_single():
 
 def test_cis_ir_pairs_two_players_who_like_each_other():
     report = compute_cis_ir(parse_instance("roommate 2\n1: 2\n2: 1\n"))
-    assert report.matching.pairs() == [(1, 2)]
+    assert pairs_of(report.matching) == [(1, 2)]
     assert report.deviation_count == 1
 
 
 def test_cis_ir_cyclic3_under_deterministic_scheduler():
     game = parse_instance(CYCLIC3)
     report = compute_cis_ir(game)
-    assert report.matching == Matching.from_pairs(3, [(1, 2)])
+    assert report.matching == Matching([2, 1, 3])
     assert find_deviation(game, report.matching, Concept.CIS) is None
     assert is_individually_rational(game, report.matching)
 
@@ -112,12 +114,12 @@ def test_cns_examples():
     # 1 likes 2, 2 finds 1 unacceptable: CNS but not IR
     game = parse_instance("roommate 2\n1: 2\n2:\n")
     report = compute_cns(game)
-    assert report.matching.pairs() == [(1, 2)]
+    assert pairs_of(report.matching) == [(1, 2)]
     assert not is_individually_rational(game, report.matching)
 
     cyclic = parse_instance(CYCLIC3)
     report = compute_cns(cyclic)
-    assert len(report.matching.pairs()) == 1 and len(report.matching.singles()) == 1
+    assert len(pairs_of(report.matching)) == 1 and len(singles_of(report.matching)) == 1
     assert find_deviation(cyclic, report.matching, Concept.CNS) is None
 
 
@@ -133,14 +135,14 @@ def test_cns_random_corpus():
 
 def test_gale_shapley_one_pair():
     game = parse_instance("marriage 1 1\n1: 2\n2: 1\n")
-    assert gale_shapley(game).pairs() == [(1, 2)]
+    assert pairs_of(gale_shapley(game)) == [(1, 2)]
 
 
 def test_gale_shapley_women_proposing_hand_run():
     # m1: w1 > w2, m2: w1 > w2, w1: m2 > m1, w2: m1 > m2
     game = parse_instance("marriage 2 2\n1: 3 4\n2: 3 4\n3: 2 1\n4: 1 2\n")
     m = gale_shapley(game, proposers="women")
-    assert m.pairs() == [(1, 4), (2, 3)]
+    assert pairs_of(m) == [(1, 4), (2, 3)]
     assert find_pair_block(game, m, strict=False) is None
 
 
@@ -184,7 +186,7 @@ def test_compute_is_marriage_random_corpus():
 
 def test_compute_ns_marriage_complete():
     game = parse_instance("marriage 1 1\n1: 2\n2: 1\n")
-    assert compute_ns_marriage_complete(game).pairs() == [(1, 2)]
+    assert pairs_of(compute_ns_marriage_complete(game)) == [(1, 2)]
     for seed in range(100):
         complete = random_marriage(seed, max_side=4, complete=True)
         result = compute_ns_marriage_complete(complete)
@@ -197,7 +199,7 @@ def test_compute_ns_marriage_complete():
 
 def test_exists_ns_small_cases():
     pair = parse_instance("roommate 2\n1: 2\n2: 1\n")
-    assert exists_ns_is_roommate_complete(pair).pairs() == [(1, 2)]
+    assert pairs_of(exists_ns_is_roommate_complete(pair)) == [(1, 2)]
 
     lone = parse_instance("roommate 1\n1:\n")
     assert exists_ns_is_roommate_complete(lone) == Matching.singletons(1)
@@ -212,7 +214,7 @@ def test_exists_ns_even_n_returns_perfect_matching():
         game = random_game(GenParams(kind="roommate", n=random.Random(seed).choice([2, 4, 6]),
                                      tie_probability=0.3, complete=True, seed=seed))
         result = exists_ns_is_roommate_complete(game)
-        assert result is not None and not result.singles()
+        assert result is not None and not singles_of(result)
         assert find_deviation(game, result, Concept.NS) is None
 
 
@@ -328,7 +330,7 @@ def test_existence_search_agrees_with_naive_oracle_under_symmetry():
             assert brute_force(game, concept, stop_after=1) == (
                 expect_first, min(expect_count, 1)
             ), (index, concept)
-            status, found = search_stable(game, concept)
+            status, found = search_status(game, concept)
             assert status == ("none" if expect_first is None else "found"), (index, concept)
             assert found == expect_first, (index, concept)
             assert brute_force(game, concept) == (expect_first, expect_count), (index, concept)
@@ -344,10 +346,10 @@ def test_brute_force_stop_after_and_cap():
 
 def test_search_stable_budget_statuses():
     cyclic = parse_instance(CYCLIC3)
-    assert search_stable(cyclic, Concept.IS) == ("none", None)
-    status, found = search_stable(cyclic, Concept.CNS)
+    assert search_status(cyclic, Concept.IS) == ("none", None)
+    status, found = search_status(cyclic, Concept.CNS)
     assert status == "found" and find_deviation(cyclic, found, Concept.CNS) is None
-    status, _ = search_stable(cyclic, Concept.IS, node_budget=1)
+    status, _ = search_status(cyclic, Concept.IS, node_budget=1)
     assert status == "budget"
 
 
@@ -439,7 +441,7 @@ def test_move_targets_match_the_definitions():
 
 def test_dynamics_stable_start():
     game = parse_instance("roommate 2\n1: 2\n2: 1\n")
-    trace = run_dynamics(game, Concept.NS, Matching.from_pairs(2, [(1, 2)]), 50)
+    trace = run_dynamics(game, Concept.NS, Matching([2, 1]), 50)
     assert trace.outcome == "stable" and not trace.steps
 
 

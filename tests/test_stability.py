@@ -33,18 +33,18 @@ LATTICE_EDGES = [
 def test_ir_examples():
     game = parse_instance("roommate 2\n1: 2\n2:\n")
     assert is_individually_rational(game, Matching.singletons(2))
-    assert not is_individually_rational(game, Matching.from_pairs(2, [(1, 2)]))
+    assert not is_individually_rational(game, Matching([2, 1]))
 
 
 def test_ir_same_sex_pair_is_irrational():
     game = parse_instance("marriage 2 2\n1: 3 4\n2: 3\n3: 1 2\n4: 1\n")
-    same_sex = Matching.from_pairs(4, [(1, 2), (3, 4)])
+    same_sex = Matching([2, 1, 4, 3])
     assert not is_individually_rational(game, same_sex)
 
 
 def test_cyclic3_witnesses():
     game = parse_instance(CYCLIC3)
-    m = Matching.from_pairs(3, [(1, 2)])
+    m = Matching([2, 1, 3])
     for concept in (Concept.NS, Concept.IS):
         w = find_deviation(game, m, concept)
         assert w == DeviationWitness(2, 3, concept)
@@ -52,13 +52,13 @@ def test_cyclic3_witnesses():
 
 def test_mutual_top_pair_is_ns():
     game = parse_instance("roommate 2\n1: 2\n2: 1\n")
-    assert find_deviation(game, Matching.from_pairs(2, [(1, 2)]), Concept.NS) is None
+    assert find_deviation(game, Matching([2, 1]), Concept.NS) is None
 
 
 def test_cns_needs_consent_of_abandoned_partner():
     # 1 likes 2, 2 finds 1 unacceptable: {1,2} is CNS but not IR
     game = parse_instance("roommate 2\n1: 2\n2:\n")
-    pair = Matching.from_pairs(2, [(1, 2)])
+    pair = Matching([2, 1])
     assert find_deviation(game, pair, Concept.CNS) is None
     assert find_deviation(game, pair, Concept.CIS) is None
     assert not is_individually_rational(game, pair)
@@ -68,14 +68,14 @@ def test_cns_needs_consent_of_abandoned_partner():
 def test_is_needs_consent_of_target():
     # 1 wants 2; 2 finds 1 unacceptable and is single
     game = parse_instance("roommate 3\n1: 2 3\n2:\n3: 1\n")
-    m = Matching.from_pairs(3, [(1, 3)])
+    m = Matching([3, 2, 1])
     assert find_deviation(game, m, Concept.NS) == DeviationWitness(1, 2, Concept.NS)
     assert find_deviation(game, m, Concept.IS) is None
 
 
 def test_pair_block_examples():
     game = parse_instance("marriage 1 1\n1: 2\n2: 1\n")
-    matched = Matching.from_pairs(2, [(1, 2)])
+    matched = Matching([2, 1])
     assert find_pair_block(game, matched, strict=False) is None
     assert find_pair_block(game, matched, strict=True) is None
     apart = Matching.singletons(2)
@@ -85,7 +85,7 @@ def test_pair_block_examples():
 
 def test_degenerate_block_reports_ir_violation():
     game = parse_instance("roommate 2\n1: 2\n2:\n")
-    pair = Matching.from_pairs(2, [(1, 2)])
+    pair = Matching([2, 1])
     block = find_pair_block(game, pair, strict=False)
     assert (block.i, block.j) == (2, 2)
 
@@ -94,7 +94,7 @@ def test_strict_core_block_without_core_block():
     # woman 3 indifferent between men 1 and 2, matched to 1; single man 2
     # strictly prefers her to being alone
     game = parse_instance("marriage 2 2\n1: 3\n2: 3\n3: ( 1 2 )\n4:\n")
-    m = Matching.from_pairs(4, [(1, 3)])
+    m = Matching([3, 2, 1, 4])
     assert find_pair_block(game, m, strict=False) is None
     block = find_pair_block(game, m, strict=True)
     assert (block.i, block.j) == (2, 3)
