@@ -152,46 +152,44 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     game = parse_instance(_read(args.instance))
     matching = parse_matching(_read(args.matching), game)
     concept = Concept(args.concept)
+    witness = None
     if concept is Concept.IR:
         violator = find_ir_violator(game, matching)
-        if violator is None:
-            print("STABLE")
-            return EXIT_OK
-        print("UNSTABLE")
-        print(f"UNACCEPTABLE player={violator} partner={matching.partner_of(violator)}")
-        return EXIT_NEGATIVE
-    if concept in DEVIATION_CONCEPTS:
-        witness = find_deviation(game, matching, concept)
-        if witness is None:
-            print("STABLE")
-            return EXIT_OK
-        print("UNSTABLE")
-        print(_witness_line(witness))
-        return EXIT_NEGATIVE
-    block = find_pair_block(game, matching, strict=concept is Concept.STRICT_CORE)
-    if block is None:
+        if violator is not None:
+            witness = f"UNACCEPTABLE player={violator} partner={matching.partner_of(violator)}"
+    elif concept in DEVIATION_CONCEPTS:
+        deviation = find_deviation(game, matching, concept)
+        if deviation is not None:
+            witness = _witness_line(deviation)
+    else:
+        block = find_pair_block(game, matching, strict=concept is Concept.STRICT_CORE)
+        if block is not None:
+            witness = f"BLOCK i={block.i} j={block.j}"
+    if witness is None:
         print("STABLE")
         return EXIT_OK
     print("UNSTABLE")
-    print(f"BLOCK i={block.i} j={block.j}")
+    print(witness)
     return EXIT_NEGATIVE
 
 
-def _poly_exists(game: Game, concept: Concept) -> tuple[bool, Matching | None] | str:
-    """Polynomial existence decision, or an explanation why none applies."""
+def _poly_exists(game: Game, concept: Concept) -> Matching | None:
+    """Polynomial existence decision: a stable matching, or None if none exists.
+
+    Raises :class:`PreconditionError` when no polynomial method applies.
+    """
     if game.kind == MARRIAGE:
         if concept is Concept.IS:
-            return True, compute_is_marriage(game)
+            return compute_is_marriage(game)
         if has_no_unacceptability(game):
-            return True, compute_ns_marriage_complete(game)
-        return (
+            return compute_ns_marriage_complete(game)
+        raise PreconditionError(
             "no polynomial method: ns existence for marriage games needs "
             "complete lists (try --method brute)"
         )
     if has_no_unacceptability(game):
-        found = exists_ns_is_roommate_complete(game)
-        return (found is not None), found
-    return (
+        return exists_ns_is_roommate_complete(game)
+    raise PreconditionError(
         "no polynomial method: roommate existence checks need complete "
         "lists (try --method brute)"
     )
@@ -201,28 +199,22 @@ def _cmd_exists(args: argparse.Namespace) -> int:
     game = parse_instance(_read(args.instance))
     concept = Concept(args.concept)
     method = args.method
-    if method in ("auto", "poly"):
-        outcome = _poly_exists(game, concept)
-        if isinstance(outcome, str):
+    if method != "brute":
+        try:
+            found = _poly_exists(game, concept)
+        except PreconditionError as exc:
             if method == "poly":
-                print(outcome, file=sys.stderr)
+                print(exc, file=sys.stderr)
                 return EXIT_USAGE
-        else:
-            exists, matching = outcome
-            if exists:
-                print("YES")
-                assert matching is not None
-                sys.stdout.write(serialize_matching(matching))
-                return EXIT_OK
-            print("NO")
-            return EXIT_NEGATIVE
-    found, _count = brute_force(game, concept, cap=args.cap, stop_after=1)
-    if found is not None:
-        print("YES")
-        sys.stdout.write(serialize_matching(found))
-        return EXIT_OK
-    print("NO")
-    return EXIT_NEGATIVE
+            method = "brute"
+    if method == "brute":
+        found, _count = brute_force(game, concept, cap=args.cap, stop_after=1)
+    if found is None:
+        print("NO")
+        return EXIT_NEGATIVE
+    print("YES")
+    sys.stdout.write(serialize_matching(found))
+    return EXIT_OK
 
 
 def _cmd_brute(args: argparse.Namespace) -> int:

@@ -178,22 +178,20 @@ class Game(Frozen):
     """A set of players with one preference list each.
 
     ``n`` players, ``profile`` their lists by owner id, ``kind`` is
-    ``"roommate"`` or ``"marriage"``; marriage games number the ``men``
-    ``1..m`` and the ``women`` ``m+1..m+w`` and reject any same-sex entry in a
-    preference list.  All values are immutable after construction.
+    ``"roommate"`` or ``"marriage"``.  A marriage game's ``num_men`` men are
+    players ``1..m`` and its women are ``m+1..n``, so
+    ``Game(n, profile, MARRIAGE, m)`` builds one; it rejects any same-sex
+    entry in a preference list.  A roommate game has ``num_men == 0`` and no
+    men or women.  ``men`` and ``women`` are ranges of ids.  All values are
+    immutable after construction.
     """
 
-    __slots__ = ("n", "profile", "kind", "men", "women")
+    __slots__ = ("n", "profile", "kind", "num_men")
 
     def __init__(
-        self,
-        n: int,
-        profile: tuple[PreferenceList, ...],
-        kind: str = ROOMMATE,
-        men: frozenset[int] = frozenset(),
-        women: frozenset[int] = frozenset(),
+        self, n: int, profile: tuple[PreferenceList, ...], kind: str = ROOMMATE, num_men: int = 0
     ) -> None:
-        Frozen.__init__(self, n, profile, kind, men, women)
+        Frozen.__init__(self, n, profile, kind, num_men)
         if kind not in (ROOMMATE, MARRIAGE):
             raise ValueError(f"unknown game kind {kind!r}")
         if n < 0:
@@ -206,17 +204,15 @@ class Game(Frozen):
         # A list's extreme ids decide both entry checks; only a bad list is
         # walked, to name its first offender.
         spans = [(pl, min(pl.order), max(pl.order)) for pl in profile if pl.order]
+        m = num_men
         if kind == MARRIAGE:
-            m = len(men)
-            if men != frozenset(range(1, m + 1)):
-                raise ValueError("men must be numbered 1..m")
-            if women != frozenset(range(m + 1, n + 1)):
-                raise ValueError("women must be numbered m+1..n")
+            if not 0 <= m <= n:
+                raise ValueError(f"num_men must lie in 0..{n}, got {m}")
             for pl, lo, hi in spans:
                 if lo <= m if pl.owner <= m else hi > m:
                     j = next(j for j in pl.order if (j <= m) == (pl.owner <= m))
                     raise ValueError(f"same-sex entry {j} in list of player {pl.owner}")
-        elif men or women:
+        elif m:
             raise ValueError("roommate games carry no side assignment")
         for pl, lo, hi in spans:
             if lo < 1 or hi > n:
@@ -234,12 +230,16 @@ class Game(Frozen):
         return self.kind == MARRIAGE
 
     @property
-    def num_men(self) -> int:
-        return len(self.men)
+    def men(self) -> range:
+        return range(1, self.num_men + 1)
 
     @property
     def num_women(self) -> int:
-        return len(self.women)
+        return self.n - self.num_men if self.kind == MARRIAGE else 0
+
+    @property
+    def women(self) -> range:
+        return range(self.num_men + 1, self.num_men + self.num_women + 1)
 
 
 def raise_preferences(game: Game) -> Game:
@@ -252,7 +252,7 @@ def raise_preferences(game: Game) -> Game:
     raised = tuple(pl.raised() for pl in game.profile)
     if all(new is old for new, old in zip(raised, game.profile)):
         return game
-    return Game(game.n, raised, game.kind, game.men, game.women)
+    return Game(game.n, raised, game.kind, game.num_men)
 
 
 def has_no_unacceptability(game: Game) -> bool:
@@ -359,15 +359,7 @@ def random_game(params: GenParams) -> Game:
             PreferenceList._compiled(i, tuple(listed), ranks, self_rank, self_rank + 1, len(listed))
         )
 
-    if params.kind == ROOMMATE:
-        return Game(n, tuple(profile), ROOMMATE)
-    return Game(
-        n,
-        tuple(profile),
-        MARRIAGE,
-        men=frozenset(range(1, m + 1)),
-        women=frozenset(range(m + 1, n + 1)),
-    )
+    return Game(n, tuple(profile), params.kind, m)
 
 
 def parse_instance(text: str) -> Game:
@@ -437,15 +429,7 @@ def parse_instance(text: str) -> Game:
         _parse_entries(owner, *lines[owner], n, m if kind == MARRIAGE else None)
         for owner in range(1, n + 1)
     ]
-    if kind == ROOMMATE:
-        return Game(n, tuple(profile), ROOMMATE)
-    return Game(
-        n,
-        tuple(profile),
-        MARRIAGE,
-        men=frozenset(range(1, m + 1)),
-        women=frozenset(range(m + 1, n + 1)),
-    )
+    return Game(n, tuple(profile), kind, m)
 
 
 def _parse_entries(

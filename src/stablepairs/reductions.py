@@ -69,6 +69,32 @@ def _prepare(g0: Graph, k: int) -> tuple[Graph, int, list[int], list[int], int]:
     return padded, record.r, a_side, b_side, n
 
 
+def _graph_players(
+    padded: Graph, a_side: list[int], b_side: list[int], b_first: int, fillers: frozenset[int]
+) -> tuple[dict[int, PreferenceList], dict[int, PlayerRole]]:
+    """Preference lists and roles of the graph players, keyed by player id.
+
+    A-vertex ``a_side[t]`` is player ``t + 1`` and B-vertex ``b_side[t]`` is
+    player ``b_first + t``.  An A-player lists its graph neighbors, then the
+    ``fillers`` in one tier, then being alone; a B-player lists its neighbors.
+    """
+    player_of_a = {v: idx for idx, v in enumerate(a_side, 1)}
+    player_of_b = {v: idx for idx, v in enumerate(b_side, b_first)}
+    adjacency = padded.adjacency()
+    prefs: dict[int, PreferenceList] = {}
+    roles: dict[int, PlayerRole] = {}
+    for kind, own, other, tail in (
+        ("A", player_of_a, player_of_b, fillers),
+        ("B", player_of_b, player_of_a, frozenset()),
+    ):
+        for v, i in own.items():
+            neighbors = frozenset(other[u] for u in adjacency[v])
+            tiers = tuple(tier for tier in (neighbors, tail) if tier)
+            prefs[i] = PreferenceList(i, tiers, self_tier=len(tiers))
+            roles[i] = PlayerRole(kind, vertex=v)
+    return prefs, roles
+
+
 def mmm_to_marriage_ns(g0: Graph, k: int) -> ReductionArtifact:
     """Marriage game with an NS matching iff the padded subdivision has a
     maximal matching of size at most ``k``.
@@ -81,46 +107,17 @@ def mmm_to_marriage_ns(g0: Graph, k: int) -> ReductionArtifact:
     A-partner chases ``y`` forever.
     """
     padded, r, a_side, b_side, n = _prepare(g0, k)
-    x_count = n - k
     y_id = n + 1
-    total = 2 * n + 1 + x_count
-    player_of_a = {v: idx for idx, v in enumerate(a_side, 1)}
-    player_of_b = {v: idx for idx, v in enumerate(b_side, n + 2)}
-    x_ids = tuple(range(2 * n + 2, 2 * n + 2 + x_count))
-    adjacency = padded.adjacency()
-
-    profile: list[PreferenceList] = []
-    roles: dict[int, PlayerRole] = {}
-    for v in a_side:
-        i = player_of_a[v]
-        tiers = []
-        neighbors = frozenset(player_of_b[u] for u in adjacency[v])
-        if neighbors:
-            tiers.append(neighbors)
-        if x_ids:
-            tiers.append(frozenset(x_ids))
-        profile.append(PreferenceList(i, tuple(tiers), self_tier=len(tiers)))
-        roles[i] = PlayerRole("A", vertex=v)
-    profile.append(PreferenceList(y_id))
+    x_ids = range(2 * n + 2, 3 * n + 2 - k)
+    prefs, roles = _graph_players(padded, a_side, b_side, n + 2, frozenset(x_ids))
+    prefs[y_id] = PreferenceList(y_id)
     roles[y_id] = PlayerRole("Y")
-    for v in b_side:
-        i = player_of_b[v]
-        neighbors = frozenset(player_of_a[u] for u in adjacency[v])
-        tiers = (neighbors,) if neighbors else ()
-        profile.append(PreferenceList(i, tiers, self_tier=len(tiers)))
-        roles[i] = PlayerRole("B", vertex=v)
     men = frozenset(range(1, n + 2))
     for t, i in enumerate(x_ids, 1):
-        profile.append(PreferenceList(i, (men,), self_tier=1))
+        prefs[i] = PreferenceList(i, (men,), self_tier=1)
         roles[i] = PlayerRole("X", gadget=t)
 
-    game = Game(
-        total,
-        tuple(profile),
-        MARRIAGE,
-        men=men,
-        women=frozenset(range(n + 2, total + 1)),
-    )
+    game = Game(len(prefs), tuple(prefs[i] for i in sorted(prefs)), MARRIAGE, n + 1)
     return ReductionArtifact(game, roles, padded, n, k, r)
 
 
@@ -136,46 +133,16 @@ def mmm_to_roommate_is(g0: Graph, k: int) -> ReductionArtifact:
     that only a free A-player can stop.
     """
     padded, r, a_side, b_side, n = _prepare(g0, k)
-    x_count = n - k
-    total = 2 * n + 3 * x_count
-    player_of_a = {v: idx for idx, v in enumerate(a_side, 1)}
-    player_of_b = {v: idx for idx, v in enumerate(b_side, n + 1)}
-    adjacency = padded.adjacency()
+    x_ids = range(2 * n + 1, 2 * n + 1 + 3 * (n - k))
+    prefs, roles = _graph_players(padded, a_side, b_side, n + 1, frozenset(x_ids))
+    a_players = frozenset(range(1, n + 1))
+    for t, i in enumerate(x_ids):
+        gadget, layer = divmod(t, 3)
+        first = i - layer  # the gadget's layer-0 player
+        successor, predecessor = first + (layer + 1) % 3, first + (layer + 2) % 3
+        tiers = (a_players | {successor}, frozenset([predecessor]))
+        prefs[i] = PreferenceList(i, tiers, self_tier=2)
+        roles[i] = PlayerRole("X", gadget=gadget + 1, layer=layer)
 
-    def x_id(gadget: int, layer: int) -> int:
-        return 2 * n + 3 * (gadget - 1) + layer + 1
-
-    all_x = frozenset(
-        x_id(g, j) for g in range(1, x_count + 1) for j in range(3)
-    )
-    a_players = frozenset(player_of_a.values())
-
-    profile: list[PreferenceList] = []
-    roles: dict[int, PlayerRole] = {}
-    for v in a_side:
-        i = player_of_a[v]
-        tiers = []
-        neighbors = frozenset(player_of_b[u] for u in adjacency[v])
-        if neighbors:
-            tiers.append(neighbors)
-        if all_x:
-            tiers.append(all_x)
-        profile.append(PreferenceList(i, tuple(tiers), self_tier=len(tiers)))
-        roles[i] = PlayerRole("A", vertex=v)
-    for v in b_side:
-        i = player_of_b[v]
-        neighbors = frozenset(player_of_a[u] for u in adjacency[v])
-        tiers = (neighbors,) if neighbors else ()
-        profile.append(PreferenceList(i, tiers, self_tier=len(tiers)))
-        roles[i] = PlayerRole("B", vertex=v)
-    for g in range(1, x_count + 1):
-        for j in range(3):
-            i = x_id(g, j)
-            successor = x_id(g, (j + 1) % 3)
-            predecessor = x_id(g, (j - 1) % 3)
-            tiers = (a_players | {successor}, frozenset([predecessor]))
-            profile.append(PreferenceList(i, tiers, self_tier=2))
-            roles[i] = PlayerRole("X", gadget=g, layer=j)
-
-    game = Game(total, tuple(profile), ROOMMATE)
+    game = Game(len(prefs), tuple(prefs[i] for i in sorted(prefs)), ROOMMATE)
     return ReductionArtifact(game, roles, padded, n, k, r)

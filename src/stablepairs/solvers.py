@@ -312,8 +312,7 @@ def exists_ns_is_roommate_complete(game: Game) -> Matching | None:
     profile = game.profile
     for single in game.players():
         # Complete lists rank everyone, so every ranks lookup below hits.
-        # Vertex of player j in the graph without ``single``:
-        vertex = [j - (j > single) for j in range(n + 1)]
+        # The graph keeps the game's ids; ``single`` gets no edges.
         limit = [0] + [pl.ranks.get(single, 0) for pl in profile]
         edges = []
         for pj in profile:
@@ -322,14 +321,13 @@ def exists_ns_is_roommate_complete(game: Game) -> Matching | None:
                 continue
             for k in pj.up_to(limit[j]):
                 if k > j and k != single and profile[k - 1].ranks[j] <= limit[k]:
-                    edges.append((vertex[j], vertex[k]))
-        candidate = max_matching(Graph.build(n - 1, edges))
+                    edges.append((j, k))
+        candidate = max_matching(Graph.build(n, edges))
         if 2 * len(candidate) == n - 1:
             partner = list(range(n + 1))
             for u, v in candidate:
-                ju, jv = u + (u >= single), v + (v >= single)
-                partner[ju] = jv
-                partner[jv] = ju
+                partner[u] = v
+                partner[v] = u
             result = Matching(partner[1:])
             _assert_ns(game, result)
             return result

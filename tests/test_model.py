@@ -17,12 +17,19 @@ from stablepairs import (
     GenParams,
     PreferenceList,
     has_no_unacceptability,
+    mmm_to_marriage_ns,
     parse_instance,
     raise_preferences,
     random_game,
     serialize_instance,
 )
-from support import CYCLIC3, definitional_mutual, random_marriage, random_roommate
+from support import (
+    CYCLIC3,
+    SMALL_GRAPHS,
+    definitional_mutual,
+    random_marriage,
+    random_roommate,
+)
 
 
 def test_parse_two_player_mutual_top():
@@ -104,8 +111,39 @@ def test_game_rejects_bad_entries_with_first_offender(m, w, lists, message):
         if m is None:
             Game(n, profile)
         else:
-            Game(n, profile, MARRIAGE, frozenset(range(1, m + 1)), frozenset(range(m + 1, n + 1)))
+            Game(n, profile, MARRIAGE, m)
     assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("num_men", [-1, 5])
+def test_marriage_game_rejects_num_men_outside_0_to_n(num_men):
+    profile = tuple(PreferenceList(i) for i in range(1, 5))
+    with pytest.raises(ValueError, match=rf"^num_men must lie in 0\.\.4, got {num_men}$"):
+        Game(4, profile, MARRIAGE, num_men)
+
+
+def test_roommate_game_rejects_a_side_count():
+    profile = tuple(PreferenceList(i) for i in range(1, 4))
+    with pytest.raises(ValueError, match="^roommate games carry no side assignment$"):
+        Game(3, profile, num_men=1)
+    game = Game(3, profile)
+    assert game.num_men == game.num_women == 0
+    assert list(game.men) == list(game.women) == []
+
+
+def test_every_marriage_builder_numbers_the_sides_as_ranges():
+    tied = parse_instance("marriage 2 3\n1: 3 ( 4 self )\n2:\n3: 1\n4:\n5: 2\n")
+    games = {
+        "parsed": (tied, 2),
+        "raised": (raise_preferences(tied), 2),
+        "generated": (random_game(GenParams(kind="marriage", n_men=3, n_women=1, seed=5)), 3),
+        "reduced": (mmm_to_marriage_ns(SMALL_GRAPHS["K13"], 2).game, 6),
+    }
+    assert games["raised"][0] is not tied
+    for label, (game, m) in games.items():
+        assert game.num_men == m and game.num_women == game.n - m, label
+        assert game.men == range(1, m + 1), label
+        assert game.women == range(m + 1, game.n + 1), label
 
 
 def test_parse_reports_line_numbers():

@@ -1,4 +1,4 @@
-"""The package's public names: a pinned list, so each change to it is deliberate."""
+"""The package's public names and record fields: pinned, so each change is deliberate."""
 
 from __future__ import annotations
 
@@ -56,3 +56,16 @@ def test_public_names_are_pinned_and_resolve():
     assert sorted(stablepairs.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(stablepairs, name) is not None, name
+
+
+RECORD_SLOTS = {
+    "PreferenceList": ("owner", "order", "ranks", "self_rank", "bottom_rank", "num_acceptable"),
+    "Game": ("n", "profile", "kind", "num_men"),
+    "Graph": ("n", "edges", "parts"),
+    "ReductionArtifact": ("game", "roles", "graph", "n", "k", "r"),
+}
+
+
+def test_frozen_record_fields_are_pinned():
+    for name, slots in RECORD_SLOTS.items():
+        assert getattr(stablepairs, name).__slots__ == slots, name
