@@ -108,7 +108,7 @@ def mmm_to_marriage_ns(g0: Graph, k: int) -> ReductionArtifact:
     """
     padded, r, a_side, b_side, n = _prepare(g0, k)
     y_id = n + 1
-    x_ids = range(2 * n + 2, 3 * n + 2 - k)
+    x_ids = range(2 * n + 2, 2 * n + 2 + n - k)
     prefs, roles = _graph_players(padded, a_side, b_side, n + 2, frozenset(x_ids))
     prefs[y_id] = PreferenceList(y_id)
     roles[y_id] = PlayerRole("Y")
