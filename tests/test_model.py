@@ -60,31 +60,48 @@ def test_parse_bare_self_midway():
     assert pl.rank_of(3) > pl.self_rank
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "roommate 3\n1: 2 2\n2: 1\n3:\n",  # duplicate entry
-        "roommate 3\n1: 2 ( 3 2 )\n2: 1\n3:\n",  # duplicate across tiers
-        "roommate 2\n1: 1\n2:\n",  # self-reference by id
-        "roommate 2\n1: 3\n2:\n",  # out of range
-        "roommate 2\n1: ( 2\n2:\n",  # unclosed group
-        "roommate 2\n1: ( )\n2:\n",  # empty group
-        "roommate 2\n1: 2 )\n2:\n",  # stray close
-        "roommate 2\n1: self 2 self\n2:\n",  # duplicate self
-        "roommate 2\n1: 2\n",  # missing player line
-        "roommate 2\n1: 2\n1: 2\n2:\n",  # duplicate player line
-        "roommate 2\n1 2\n2:\n",  # missing colon
-        "roommate x\n",  # bad header count
-        "party 2\n1: 2\n2: 1\n",  # unknown kind
-        "",  # empty
-        "marriage 1 1\n1: 1\n2: 1\n",  # man listing a man (himself)
-        "marriage 2 1\n1: 2\n2: 3\n3: 1\n",  # man listing the other man
-        "marriage 1 2\n1: 2\n2: 3\n3: 1\n",  # woman listing a woman
-    ],
-)
-def test_parse_rejects_malformed(text):
-    with pytest.raises(FormatError):
+MALFORMED = [
+    ("roommate 3\n1: 2 2\n2: 1\n3:\n", "line 2: duplicate entry 2 in list of player 1"),
+    ("roommate 3\n1: 2 ( 3 2 )\n2: 1\n3:\n", "line 2: duplicate entry 2 in list of player 1"),
+    ("roommate 2\n1: 1\n2:\n", "line 2: player 1 lists itself by id; use 'self'"),
+    ("roommate 2\n1: 3\n2:\n", "line 2: player id 3 out of range"),
+    ("roommate 2\n1: ( 2\n2:\n", "line 2: unclosed tie group"),
+    ("roommate 2\n1: ( )\n2:\n", "line 2: empty tie group"),
+    ("roommate 2\n1: 2 )\n2:\n", "line 2: ')' without matching '('"),
+    ("roommate 2\n1: self 2 self\n2:\n", "line 2: 'self' appears more than once"),
+    ("roommate 2\n1: 2\n", "missing preference line for player 2"),
+    ("roommate 2\n1: 2\n1: 2\n2:\n", "line 3: duplicate preference line for player 1"),
+    ("roommate 2\n1 2\n2:\n", "line 2: expected '<id>: <entries>'"),
+    ("roommate x\n", "line 1: non-numeric player count in header"),
+    ("party 2\n1: 2\n2: 1\n", "line 1: expected header 'roommate <n>' or 'marriage <m> <w>'"),
+    ("", "empty instance: missing header"),
+    # a man listing himself: the self check comes before the side check
+    ("marriage 1 1\n1: 1\n2: 1\n", "line 2: player 1 lists itself by id; use 'self'"),
+    ("marriage 2 1\n1: 2\n2: 3\n3: 1\n", "line 2: same-sex entry 2 in list of player 1"),
+    ("marriage 1 2\n1: 2\n2: 3\n3: 1\n", "line 3: same-sex entry 3 in list of player 2"),
+    ("roommate 3\n1: 2\n2: 3 ( 1 2 )\n3:\n", "line 3: player 2 lists itself by id; use 'self'"),
+    ("roommate 3\n1: 0\n2:\n3:\n", "line 2: player id 0 out of range"),
+    ("roommate 3\n1: 2 -1\n2:\n3:\n", "line 2: player id -1 out of range"),
+    ("roommate 3\n1: 2 x\n2:\n3:\n", "line 2: unexpected token 'x'"),
+    ("roommate 3\n1: ( 2 ( 3 ) )\n2:\n3:\n", "line 2: nested tie group"),
+    ("roommate 3\n1: ( 2 self ) self\n2:\n3:\n", "line 2: 'self' appears more than once"),
+    ("roommate 3\n1: ( 2 self self )\n2:\n3:\n", "line 2: 'self' appears more than once"),
+    ("roommate 3\n1: ( 3 2 3 )\n2:\n3:\n", "line 2: duplicate entry 3 in list of player 1"),
+]
+
+
+@pytest.mark.parametrize("text, message", MALFORMED, ids=[text for text, _ in MALFORMED])
+def test_parse_rejects_malformed(text, message):
+    with pytest.raises(FormatError) as caught:
         parse_instance(text)
+    assert str(caught.value) == message
+
+
+def test_parse_reads_noncanonical_ids_as_canonical():
+    canonical = "marriage 2 2\n1: 3 ( 4 self )\n2: 3 4\n3: 2 ( 1 self )\n4: ( 1 2 )\n"
+    written = "marriage 2 2\n01: 03 ( +4 self )\n2: +3 004\n3: 02 ( 1 self )\n04: ( 1 0002 )\n"
+    assert parse_instance(written) == parse_instance(canonical)
+    assert serialize_instance(parse_instance(written)) == canonical
 
 
 @pytest.mark.parametrize(
