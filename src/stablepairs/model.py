@@ -116,12 +116,9 @@ class PreferenceList(Frozen):
         # The read-only ``ranks`` view does not pickle; rebuild from the tiers.
         return (PreferenceList, (self.owner, self.tiers, self.self_tier, self.self_tied))
 
-    def _groups(self) -> list[tuple[int, ...]]:
-        return [tuple(g) for _, g in groupby(self.order, self.ranks.__getitem__)]
-
     @property
     def tiers(self) -> tuple[frozenset[int], ...]:
-        return tuple(frozenset(g) for g in self._groups())
+        return tuple(frozenset(g) for _, g in groupby(self.order, self.ranks.__getitem__))
 
     @property
     def self_tier(self) -> int:
@@ -132,20 +129,6 @@ class PreferenceList(Frozen):
     def self_tied(self) -> bool:
         k = self.num_acceptable
         return k > 0 and self.ranks[self.order[k - 1]] == self.self_rank
-
-    def slots(self) -> tuple[tuple[tuple[int, ...], bool], ...]:
-        """Rank slots, best first, as ``(sorted players, includes_self)``.
-
-        Exactly one slot includes the owner's singleton; a bare self slot has
-        no players.  The implicit bottom tier of unlisted players is not
-        included.
-        """
-        groups = self._groups()
-        if self.self_tied:
-            return tuple((g, t == self.self_rank) for t, g in enumerate(groups))
-        out = [(g, False) for g in groups]
-        out.insert(self.self_rank, ((), True))
-        return tuple(out)
 
     def rank_of(self, j: int) -> int:
         """Numeric rank of player ``j`` (lower is better); ``owner`` ranks as alone."""
@@ -311,34 +294,37 @@ def random_game(params: GenParams) -> Game:
         m = params.n_men
         n = m + params.n_women
 
+    # One int object per player id, shared by every list that names it.
+    ids = list(range(n + 1))
+    players = ids[1:]
+
     def candidates(i: int) -> list[int]:
+        """Potential partners of ``i``, ascending."""
         if params.kind == ROOMMATE:
-            return [j for j in range(1, n + 1) if j != i]
-        return [j for j in range(1, n + 1) if (j <= m) != (i <= m)]
+            return ids[1:i] + ids[i + 1 :]
+        return ids[m + 1 :] if i <= m else ids[1 : m + 1]
 
     accept_p = params.acceptability_probability
     tie_p = params.tie_probability
-    acceptable: dict[int, set[int]] = {i: set() for i in range(1, n + 1)}
-    if params.complete:
-        for i in range(1, n + 1):
-            acceptable[i] = set(candidates(i))
-    elif params.mutual:
-        for i in range(1, n + 1):
+    # A complete game lists every candidate, so it builds no acceptability sets.
+    acceptable: dict[int, set[int]] = {}
+    if params.mutual and not params.complete:
+        acceptable = {i: set() for i in players}
+        for i in players:
             for j in candidates(i):
                 if j < i:
                     continue
                 if rng.random() < accept_p:
                     acceptable[i].add(j)
                     acceptable[j].add(i)
-    else:
-        for i in range(1, n + 1):
-            for j in candidates(i):
-                if rng.random() < accept_p:
-                    acceptable[i].add(j)
+    elif not params.complete:
+        acceptable = {
+            i: {j for j in candidates(i) if rng.random() < accept_p} for i in players
+        }
 
     profile = []
-    for i in range(1, n + 1):
-        order = sorted(acceptable[i])
+    for i in players:
+        order = candidates(i) if params.complete else sorted(acceptable[i])
         rng.shuffle(order)
         runs: list[list[int]] = []
         for j in order:
@@ -372,14 +358,14 @@ def parse_instance(text: str) -> Game:
     ranks.  Entries after ``self`` are ranked but unacceptable; unlisted
     players are unacceptable and mutually indifferent.
     """
-    header: tuple[str, int, int] | None = None
+    kind: str | None = None
     lines: dict[int, tuple[int, str]] = {}
     n = m = 0
     for lineno, raw in enumerate(text.splitlines(), 1):
         stripped = raw.split("#", 1)[0].strip()
         if not stripped:
             continue
-        if header is None:
+        if kind is None:
             fields = stripped.split()
             if fields[0] == ROOMMATE and len(fields) == 2:
                 kind = ROOMMATE
@@ -402,7 +388,6 @@ def parse_instance(text: str) -> Game:
             else:
                 m = nums[0]
                 n = m + nums[1]
-            header = (kind, n, m)
             continue
         if ":" not in stripped:
             raise FormatError("expected '<id>: <entries>'", lineno)
@@ -417,29 +402,40 @@ def parse_instance(text: str) -> Game:
             raise FormatError(f"duplicate preference line for player {owner}", lineno)
         lines[owner] = (lineno, rhs)
 
-    if header is None:
+    if kind is None:
         raise FormatError("empty instance: missing header")
-    kind = header[0]
 
     for i in range(1, n + 1):
         if i not in lines:
             raise FormatError(f"missing preference line for player {i}")
 
-    profile = [
-        _parse_entries(owner, *lines[owner], n, m if kind == MARRIAGE else None)
-        for owner in range(1, n + 1)
-    ]
+    # Each side's potential partners by their canonical text, one int object
+    # per id for the whole game.
+    if kind == MARRIAGE:
+        men = {str(j): j for j in range(1, m + 1)}
+        women = {str(j): j for j in range(m + 1, n + 1)}
+        profile = [
+            _parse_entries(owner, *lines[owner], n, m, women if owner <= m else men)
+            for owner in range(1, n + 1)
+        ]
+    else:
+        everyone = {str(j): j for j in range(1, n + 1)}
+        profile = [
+            _parse_entries(owner, *lines[owner], n, None, everyone)
+            for owner in range(1, n + 1)
+        ]
     return Game(n, tuple(profile), kind, m)
 
 
 def _parse_entries(
-    owner: int, lineno: int, rhs: str, n: int, m: int | None
+    owner: int, lineno: int, rhs: str, n: int, m: int | None, partners: dict[str, int]
 ) -> PreferenceList:
     """Check one entry list token by token and compile it straight into ranks.
 
     Each top-level id, tie group and bare ``self`` is one rank slot; ids in
     a group share the group's slot.  ``m`` is the number of men (possibly
-    0), None for a roommate game.
+    0), None for a roommate game.  ``partners`` maps the canonical text of
+    each id on the owner's partner side to its int.
     """
     tokens = rhs.replace("(", " ( ").replace(")", " ) ").split()
     # The owner's potential partners are exactly the ids in lo..hi, less itself.
@@ -453,45 +449,50 @@ def _parse_entries(
     num_acceptable = 0
 
     for token in tokens:
-        if token == "(":
-            if group is not None:
-                raise FormatError("nested tie group", lineno)
-            group = []
-            group_has_self = False
-        elif token == ")":
-            if group is None:
-                raise FormatError("')' without matching '('", lineno)
-            if not group and not group_has_self:
-                raise FormatError("empty tie group", lineno)
-            group.sort()
-            order.extend(group)
-            if group_has_self:
-                self_rank = slot
-                num_acceptable = len(order)
-            slot += 1
-            group = None
-        elif token == _SELF_TOKEN:
-            if self_rank is not None or (group is not None and group_has_self):
-                raise FormatError("'self' appears more than once", lineno)
-            if group is not None:
-                group_has_self = True
-            else:
-                self_rank = slot
-                num_acceptable = len(order)
+        j = partners.get(token)
+        if j is None or j == owner or j in ranks:
+            # A paren, 'self', an id written another way (such as 07), or an error.
+            if token == "(":
+                if group is not None:
+                    raise FormatError("nested tie group", lineno)
+                group = []
+                group_has_self = False
+                continue
+            if token == ")":
+                if group is None:
+                    raise FormatError("')' without matching '('", lineno)
+                if not group and not group_has_self:
+                    raise FormatError("empty tie group", lineno)
+                group.sort()
+                order.extend(group)
+                if group_has_self:
+                    self_rank = slot
+                    num_acceptable = len(order)
                 slot += 1
-        else:
+                group = None
+                continue
+            if token == _SELF_TOKEN:
+                if self_rank is not None or (group is not None and group_has_self):
+                    raise FormatError("'self' appears more than once", lineno)
+                if group is not None:
+                    group_has_self = True
+                else:
+                    self_rank = slot
+                    num_acceptable = len(order)
+                    slot += 1
+                continue
             try:
                 j = int(token)
             except ValueError:
                 raise FormatError(f"unexpected token {token!r}", lineno) from None
             if not lo <= j <= hi or j == owner or j in ranks:
                 _reject_id(j, owner, ranks, n, lineno)
-            ranks[j] = slot
-            if group is not None:
-                group.append(j)
-            else:
-                order.append(j)
-                slot += 1
+        ranks[j] = slot
+        if group is not None:
+            group.append(j)
+        else:
+            order.append(j)
+            slot += 1
 
     if group is not None:
         raise FormatError("unclosed tie group", lineno)
@@ -517,18 +518,21 @@ def serialize_instance(game: Game) -> str:
         out = [f"roommate {game.n}"]
     else:
         out = [f"marriage {game.num_men} {game.num_women}"]
-    for i in game.players():
+    names = [str(j) for j in range(game.n + 1)]
+    for pl in game.profile:
+        # One part per rank slot.  Being alone is its own slot unless a group
+        # has its rank; a trailing bare 'self' is the default and is left out.
         parts: list[str] = []
-        for players, has_self in game.prefs(i).slots():
-            if has_self and not players:
+        alone_placed = False
+        for rank, group in groupby(pl.order, pl.ranks.__getitem__):
+            tokens = [names[j] for j in group]
+            if rank == pl.self_rank:
+                tokens.append(_SELF_TOKEN)
+                alone_placed = True
+            elif rank > pl.self_rank and not alone_placed:
                 parts.append(_SELF_TOKEN)
-            elif has_self:
-                parts.append("( " + " ".join(map(str, players)) + " self )")
-            elif len(players) == 1:
-                parts.append(str(players[0]))
-            else:
-                parts.append("( " + " ".join(map(str, players)) + " )")
-        if parts and parts[-1] == _SELF_TOKEN:
-            parts.pop()
-        out.append(f"{i}: " + " ".join(parts) if parts else f"{i}:")
+                alone_placed = True
+            parts.append(tokens[0] if len(tokens) == 1 else "( " + " ".join(tokens) + " )")
+        owner = names[pl.owner]
+        out.append(f"{owner}: " + " ".join(parts) if parts else f"{owner}:")
     return "\n".join(out) + "\n"
