@@ -409,33 +409,24 @@ def parse_instance(text: str) -> Game:
         if i not in lines:
             raise FormatError(f"missing preference line for player {i}")
 
-    # Each side's potential partners by their canonical text, one int object
-    # per id for the whole game.
-    if kind == MARRIAGE:
-        men = {str(j): j for j in range(1, m + 1)}
-        women = {str(j): j for j in range(m + 1, n + 1)}
-        profile = [
-            _parse_entries(owner, *lines[owner], n, m, women if owner <= m else men)
-            for owner in range(1, n + 1)
-        ]
-    else:
-        everyone = {str(j): j for j in range(1, n + 1)}
-        profile = [
-            _parse_entries(owner, *lines[owner], n, None, everyone)
-            for owner in range(1, n + 1)
-        ]
+    # One int object per player id, shared by every list that names it.
+    ids = list(range(n + 1))
+    profile = [
+        _parse_entries(owner, *lines[owner], n, m if kind == MARRIAGE else None, ids)
+        for owner in ids[1:]
+    ]
     return Game(n, tuple(profile), kind, m)
 
 
 def _parse_entries(
-    owner: int, lineno: int, rhs: str, n: int, m: int | None, partners: dict[str, int]
+    owner: int, lineno: int, rhs: str, n: int, m: int | None, ids: list[int]
 ) -> PreferenceList:
     """Check one entry list token by token and compile it straight into ranks.
 
     Each top-level id, tie group and bare ``self`` is one rank slot; ids in
     a group share the group's slot.  ``m`` is the number of men (possibly
-    0), None for a roommate game.  ``partners`` maps the canonical text of
-    each id on the owner's partner side to its int.
+    0), None for a roommate game.  ``ids[j]`` is the game's shared int for
+    player ``j``.
     """
     tokens = rhs.replace("(", " ( ").replace(")", " ) ").split()
     # The owner's potential partners are exactly the ids in lo..hi, less itself.
@@ -449,50 +440,46 @@ def _parse_entries(
     num_acceptable = 0
 
     for token in tokens:
-        j = partners.get(token)
-        if j is None or j == owner or j in ranks:
-            # A paren, 'self', an id written another way (such as 07), or an error.
-            if token == "(":
-                if group is not None:
-                    raise FormatError("nested tie group", lineno)
-                group = []
-                group_has_self = False
-                continue
-            if token == ")":
-                if group is None:
-                    raise FormatError("')' without matching '('", lineno)
-                if not group and not group_has_self:
-                    raise FormatError("empty tie group", lineno)
-                group.sort()
-                order.extend(group)
-                if group_has_self:
-                    self_rank = slot
-                    num_acceptable = len(order)
+        if token == "(":
+            if group is not None:
+                raise FormatError("nested tie group", lineno)
+            group = []
+            group_has_self = False
+        elif token == ")":
+            if group is None:
+                raise FormatError("')' without matching '('", lineno)
+            if not group and not group_has_self:
+                raise FormatError("empty tie group", lineno)
+            group.sort()
+            order.extend(group)
+            if group_has_self:
+                self_rank = slot
+                num_acceptable = len(order)
+            slot += 1
+            group = None
+        elif token == _SELF_TOKEN:
+            if self_rank is not None or (group is not None and group_has_self):
+                raise FormatError("'self' appears more than once", lineno)
+            if group is not None:
+                group_has_self = True
+            else:
+                self_rank = slot
+                num_acceptable = len(order)
                 slot += 1
-                group = None
-                continue
-            if token == _SELF_TOKEN:
-                if self_rank is not None or (group is not None and group_has_self):
-                    raise FormatError("'self' appears more than once", lineno)
-                if group is not None:
-                    group_has_self = True
-                else:
-                    self_rank = slot
-                    num_acceptable = len(order)
-                    slot += 1
-                continue
+        else:
             try:
                 j = int(token)
             except ValueError:
                 raise FormatError(f"unexpected token {token!r}", lineno) from None
             if not lo <= j <= hi or j == owner or j in ranks:
                 _reject_id(j, owner, ranks, n, lineno)
-        ranks[j] = slot
-        if group is not None:
-            group.append(j)
-        else:
-            order.append(j)
-            slot += 1
+            j = ids[j]
+            ranks[j] = slot
+            if group is not None:
+                group.append(j)
+            else:
+                order.append(j)
+                slot += 1
 
     if group is not None:
         raise FormatError("unclosed tie group", lineno)

@@ -104,6 +104,16 @@ def test_parse_reads_noncanonical_ids_as_canonical():
     assert serialize_instance(parse_instance(written)) == canonical
 
 
+def test_parse_shares_one_int_per_id():
+    # Ids above 256 are not cached by the interpreter; each one the game names,
+    # however it is written, must be the owner's own int object.
+    lines = ["roommate 300"] + [f"{i}:" for i in range(1, 299)]
+    game = parse_instance("\n".join(lines + ["299: 0300", "300: +299 ( 298 )"]) + "\n")
+    assert game.prefs(299).order[0] is game.prefs(300).owner
+    assert game.prefs(300).order[0] is game.prefs(299).owner
+    assert game.prefs(300).order[1] is game.prefs(298).owner
+
+
 @pytest.mark.parametrize(
     "m, w, lists, message",
     [
