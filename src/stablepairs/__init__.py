@@ -25,7 +25,6 @@ from .model import (
     PreferenceList,
     has_no_unacceptability,
     parse_instance,
-    raise_preferences,
     random_game,
     serialize_instance,
 )
@@ -96,7 +95,6 @@ __all__ = [
     "parse_graph",
     "parse_instance",
     "parse_matching",
-    "raise_preferences",
     "random_game",
     "run_dynamics",
     "serialize_instance",

@@ -129,20 +129,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     game = parse_instance(_read(args.instance))
+    header = f"# solve concept={args.concept}"
     if args.concept == "is":
         matching = compute_is_marriage(game)
-        header = "# solve concept=is"
     elif args.concept == "ns-complete":
         matching = compute_ns_marriage_complete(game)
-        header = "# solve concept=ns-complete"
-    elif args.concept == "cis-ir":
-        report = compute_cis_ir(game)
-        matching = report.matching
-        header = f"# solve concept=cis-ir deviations={report.deviation_count}"
     else:
-        report = compute_cns(game)
+        report = (compute_cis_ir if args.concept == "cis-ir" else compute_cns)(game)
         matching = report.matching
-        header = f"# solve concept=cns deviations={report.deviation_count}"
+        header += f" deviations={report.deviation_count}"
     print(header)
     sys.stdout.write(serialize_matching(matching))
     return EXIT_OK

@@ -140,16 +140,6 @@ class PreferenceList(Frozen):
         """Listed players ranked ``rank`` or better, best first (a prefix of ``order``)."""
         return self.order[: bisect_right(self.order, rank, key=self.ranks.__getitem__)]
 
-    def raised(self) -> PreferenceList:
-        """Push the owner's singleton strictly below any players tied with it."""
-        if not self.self_tied:
-            return self
-        s = self.self_rank
-        ranks = {j: r + (r > s) for j, r in self.ranks.items()}
-        return PreferenceList._compiled(
-            self.owner, self.order, ranks, s + 1, self.bottom_rank + 1, self.num_acceptable
-        )
-
     def __repr__(self) -> str:
         return (
             f"PreferenceList(owner={self.owner}, tiers={self.tiers!r}, "
@@ -223,19 +213,6 @@ class Game(Frozen):
     @property
     def women(self) -> range:
         return range(self.num_men + 1, self.num_men + self.num_women + 1)
-
-
-def raise_preferences(game: Game) -> Game:
-    """Make every player tied with being-alone strictly acceptable instead.
-
-    The relative order among distinct other players is untouched; only the
-    owner's own singleton moves, strictly below its former tie partners.
-    Idempotent; returns ``game`` itself when nothing is tied with alone.
-    """
-    raised = tuple(pl.raised() for pl in game.profile)
-    if all(new is old for new, old in zip(raised, game.profile)):
-        return game
-    return Game(game.n, raised, game.kind, game.num_men)
 
 
 def has_no_unacceptability(game: Game) -> bool:

@@ -58,7 +58,25 @@ class ReductionArtifact(Frozen):
         return (self.game, self.graph, self.n, self.k, self.r)
 
 
-def _prepare(g0: Graph, k: int) -> tuple[Graph, int, list[int], list[int], int]:
+#: Most list entries, summed over all players, that a constructed game may hold.
+MAX_LIST_ENTRIES = 2_000_000
+
+
+def _list_entries(kind: str, n: int, k: int, num_edges: int) -> int:
+    """Total list length of the game built on a padded graph, in closed form.
+
+    The two graph sides list their neighbors: ``2 * num_edges`` entries.
+    Every filler is listed by each of the ``n`` A-players.  A marriage
+    filler lists the ``n + 1`` men, and there are ``n - k`` of them; a
+    roommate filler lists the ``n`` A-players and two of its triplet, and
+    there are ``3(n - k)``.
+    """
+    if kind == MARRIAGE:
+        return 2 * num_edges + (n - k) * (2 * n + 1)
+    return 2 * num_edges + 3 * (n - k) * (2 * n + 2)
+
+
+def _prepare(g0: Graph, k: int, kind: str) -> tuple[Graph, int, list[int], list[int], int]:
     padded, record = pad_bipartition(subdivision_graph(g0))
     assert padded.parts is not None
     a_side = sorted(padded.parts[0])
@@ -66,6 +84,11 @@ def _prepare(g0: Graph, k: int) -> tuple[Graph, int, list[int], list[int], int]:
     n = len(a_side)
     if not 0 <= k <= n:
         raise PreconditionError(f"k must lie in 0..{n}, got {k}")
+    size = _list_entries(kind, n, k, len(padded.edges))
+    if size > MAX_LIST_ENTRIES:
+        raise PreconditionError(
+            f"the {kind} game would list {size} entries, above the limit of {MAX_LIST_ENTRIES}"
+        )
     return padded, record.r, a_side, b_side, n
 
 
@@ -106,7 +129,7 @@ def mmm_to_marriage_ns(g0: Graph, k: int) -> ReductionArtifact:
     all men and the loner wants to stay alone, so a filler left without an
     A-partner chases ``y`` forever.
     """
-    padded, r, a_side, b_side, n = _prepare(g0, k)
+    padded, r, a_side, b_side, n = _prepare(g0, k, MARRIAGE)
     y_id = n + 1
     x_ids = range(2 * n + 2, 2 * n + 2 + n - k)
     prefs, roles = _graph_players(padded, a_side, b_side, n + 2, frozenset(x_ids))
@@ -132,7 +155,7 @@ def mmm_to_roommate_is(g0: Graph, k: int) -> ReductionArtifact:
     unbroken triplet chases itself in a perpetual three-step deviation cycle
     that only a free A-player can stop.
     """
-    padded, r, a_side, b_side, n = _prepare(g0, k)
+    padded, r, a_side, b_side, n = _prepare(g0, k, ROOMMATE)
     x_ids = range(2 * n + 1, 2 * n + 1 + 3 * (n - k))
     prefs, roles = _graph_players(padded, a_side, b_side, n + 1, frozenset(x_ids))
     a_players = frozenset(range(1, n + 1))

@@ -72,13 +72,7 @@ from operator import eq
 from .errors import InternalCheckError, PreconditionError
 from .graph_matching import Graph, max_matching
 from .matching import Matching
-from .model import (
-    MARRIAGE,
-    ROOMMATE,
-    Game,
-    has_no_unacceptability,
-    raise_preferences,
-)
+from .model import MARRIAGE, ROOMMATE, Game, has_no_unacceptability
 from .stability import (
     Concept,
     DEVIATION_CONCEPTS,
@@ -204,15 +198,16 @@ def compute_cns(game: Game) -> SolverReport:
 
 
 def gale_shapley(game: Game, proposers: str = "women") -> Matching:
-    """Deferred acceptance on the lowest-id tie-broken strict instance.
+    """Deferred acceptance, with each tie broken by lowest id.
 
-    Proposers walk the players they strictly like in (rank, id) order; an
-    acceptee takes a proposal iff it beats its current engagement (or, when
-    unengaged, beats staying alone) in its own tie-broken order.  Players
-    tied with being alone are neither proposed to nor accepted, so run
-    :func:`stablepairs.model.raise_preferences` first when those ties matter.
-    Output is the proposer-optimal stable matching of the tie-broken
-    instance and admits no core block with respect to it.
+    A player accepts every partner it ranks at or above being alone, so a
+    partner tied with being alone counts as acceptable.  Proposers walk their
+    acceptable players in (rank, id) order; an unengaged acceptee takes any
+    proposal from a player it accepts, and an engaged one trades up iff the
+    proposer comes first in its (rank, id) order.  Output is the
+    proposer-optimal stable matching of the strict instance that breaks ties
+    by lowest id and puts being alone just below the players tied with it,
+    and admits no core block with respect to that instance.
     """
     if game.kind != MARRIAGE:
         raise PreconditionError("gale_shapley needs a marriage game")
@@ -220,7 +215,7 @@ def gale_shapley(game: Game, proposers: str = "women") -> Matching:
         raise ValueError("proposers must be 'men' or 'women'")
     profile = game.profile
     side = sorted(game.men if proposers == "men" else game.women)
-    wishlist = {p: profile[p - 1].up_to(profile[p - 1].self_rank - 1) for p in side}
+    wishlist = {p: profile[p - 1].order[: profile[p - 1].num_acceptable] for p in side}
     match = [0] * (game.n + 1)
     cursor = dict.fromkeys(side, 0)
     free = deque(side)
@@ -235,7 +230,7 @@ def gale_shapley(game: Game, proposers: str = "women") -> Matching:
             rank_p = rq.get(p, pq.bottom_rank)
             cur = match[q]
             if cur == 0:
-                if rank_p < pq.self_rank:
+                if rank_p <= pq.self_rank:
                     match[q] = p
                     match[p] = q
                     break
@@ -251,14 +246,14 @@ def gale_shapley(game: Game, proposers: str = "women") -> Matching:
 def compute_is_marriage(game: Game) -> Matching:
     """An individually stable (and IR) matching for any marriage game.
 
-    Pipeline: raise the preferences so ties with being alone become strict
-    acceptability, then run women-proposing deferred acceptance.  The result
-    is verified against the original preferences; failure signals a bug, not
-    bad input.
+    Women-proposing deferred acceptance on the game as given: a partner
+    tied with being alone counts as acceptable (:func:`gale_shapley`).  The
+    result is verified against the same preferences; failure signals a bug,
+    not bad input.
     """
     if game.kind != MARRIAGE:
         raise PreconditionError("compute_is_marriage needs a marriage game")
-    result = gale_shapley(raise_preferences(game), proposers="women")
+    result = gale_shapley(game, proposers="women")
     if not is_individually_rational(game, result):
         raise InternalCheckError("IS pipeline produced an IR violation")
     if find_deviation(game, result, Concept.IS) is not None:

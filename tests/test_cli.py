@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from stablepairs import InternalCheckError, cli
@@ -162,6 +164,16 @@ def test_reduce_emits_parseable_instance(capsys, tmp_path):
     code, out, _ = run(capsys, "reduce", "is-roommate", str(graph_file), "2")
     assert code == 0
     assert parse_instance(out).n == 9
+
+
+def test_reduce_refuses_an_oversized_game_fast(capsys, tmp_path):
+    graph_file = tmp_path / "g.txt"
+    graph_file.write_text("graph 5000 0\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "reduce", "is-roommate", str(graph_file), "0")
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_gen_is_deterministic_and_parseable(capsys):

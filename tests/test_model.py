@@ -1,4 +1,4 @@
-"""Parsing, preference semantics, the raise operation, and the generator."""
+"""Parsing, preference semantics, and the generator."""
 
 from __future__ import annotations
 
@@ -19,7 +19,6 @@ from stablepairs import (
     has_no_unacceptability,
     mmm_to_marriage_ns,
     parse_instance,
-    raise_preferences,
     random_game,
     serialize_instance,
 )
@@ -162,11 +161,9 @@ def test_every_marriage_builder_numbers_the_sides_as_ranges():
     tied = parse_instance("marriage 2 3\n1: 3 ( 4 self )\n2:\n3: 1\n4:\n5: 2\n")
     games = {
         "parsed": (tied, 2),
-        "raised": (raise_preferences(tied), 2),
         "generated": (random_game(GenParams(kind="marriage", n_men=3, n_women=1, seed=5)), 3),
         "reduced": (mmm_to_marriage_ns(SMALL_GRAPHS["K13"], 2).game, 6),
     }
-    assert games["raised"][0] is not tied
     for label, (game, m) in games.items():
         assert game.num_men == m and game.num_women == game.n - m, label
         assert game.men == range(1, m + 1), label
@@ -200,41 +197,6 @@ def test_roundtrip_keeps_self_position():
     text = "roommate 4\n1: 2 ( 3 self ) 4\n2: self 1\n3: ( 1 2 4 )\n4:\n"
     game = parse_instance(text)
     assert parse_instance(serialize_instance(game)) == game
-
-
-def test_raise_identity_on_strict_lists():
-    game = parse_instance(CYCLIC3)
-    assert raise_preferences(game) is game
-
-
-def test_raise_moves_self_below_tied_peers():
-    # "...; (5 self); ..." becomes "...; 5; self; ..."
-    pl = PreferenceList(1, (frozenset({2}), frozenset({5}), frozenset({3})), 1, True)
-    raised = pl.raised()
-    assert raised.tiers == pl.tiers
-    assert raised.self_tier == 2 and not raised.self_tied
-    assert raised.rank_of(5) < raised.self_rank < raised.rank_of(3)
-    assert pl.rank_of(5) == pl.self_rank
-
-
-def test_raise_preserves_order_and_is_idempotent():
-    for seed in range(100):
-        game = random_roommate(seed, tie_probability=0.5)
-        raised = raise_preferences(game)
-        assert raise_preferences(raised) == raised
-        rng = random.Random(seed)
-        for _ in range(20):
-            i = rng.randint(1, game.n)
-            j = rng.randint(1, game.n)
-            k = rng.randint(1, game.n)
-            if i in (j, k):
-                continue
-            before = game.prefs(i)
-            after = raised.prefs(i)
-            weak_before = before.rank_of(j) <= before.rank_of(k)
-            assert weak_before == (after.rank_of(j) <= after.rank_of(k))
-            if before.rank_of(j) == before.self_rank and j != i:
-                assert after.rank_of(j) < after.self_rank
 
 
 def test_preference_is_total_preorder():

@@ -43,7 +43,6 @@ PUBLIC_NAMES = [
     "parse_graph",
     "parse_instance",
     "parse_matching",
-    "raise_preferences",
     "random_game",
     "run_dynamics",
     "serialize_instance",

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from stablepairs import (
@@ -14,6 +16,7 @@ from stablepairs import (
     pad_bipartition,
     subdivision_graph,
 )
+from stablepairs.reductions import MAX_LIST_ENTRIES, _list_entries
 from support import SMALL_GRAPHS, search_status
 
 SINGLE_EDGE = Graph.build(2, [(1, 2)])
@@ -68,6 +71,33 @@ def test_reduction_rejects_k_out_of_range():
         mmm_to_marriage_ns(SINGLE_EDGE, 4)  # n = 3 after padding
     with pytest.raises(PreconditionError):
         mmm_to_roommate_is(SINGLE_EDGE, -1)
+
+
+@pytest.mark.parametrize("build", [mmm_to_marriage_ns, mmm_to_roommate_is])
+def test_list_entries_formula_matches_built_games(build):
+    for name, graph in SMALL_GRAPHS.items():
+        n = build(graph, 0).n
+        for k in range(n + 1):
+            artifact = build(graph, k)
+            game = artifact.game
+            built = sum(len(pl.order) for pl in game.profile)
+            formula = _list_entries(game.kind, artifact.n, k, len(artifact.graph.edges))
+            assert formula == built, (name, k)
+
+
+def test_reduction_refuses_games_above_the_size_limit():
+    # 5000 isolated vertices pad to sides of 10,000: hundreds of millions
+    # of entries, refused before any list is built.
+    isolated = Graph.build(5000, [])
+    for build in (mmm_to_marriage_ns, mmm_to_roommate_is):
+        start = time.perf_counter()
+        with pytest.raises(PreconditionError, match=f"above the limit of {MAX_LIST_ENTRIES}$"):
+            build(isolated, 0)
+        assert time.perf_counter() - start < 0.5
+    # 400 isolated vertices pad to sides of 800, where only the roommate
+    # game (3,846,400 entries) is refused; the marriage game lists 1,282,400.
+    with pytest.raises(PreconditionError, match="would list 3846400 entries"):
+        mmm_to_roommate_is(Graph.build(400, []), 0)
 
 
 def test_marriage_reduction_soundness_single_edge_all_k():

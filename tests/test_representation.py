@@ -5,7 +5,7 @@ Every check compares, for every ordered pair of players, what
 form with :func:`support.definitional_rank`.  The 10,000-player test bounds
 memory: compiled preferences must stay linear in the instance size, and so
 must the brute-force search set up on them.  The complete 300+300 marriage
-tests bound the peak of generating and of parsing a dense game.
+tests bound the peak of generating, parsing and solving a dense game.
 """
 
 from __future__ import annotations
@@ -20,13 +20,13 @@ from stablepairs import (
     Matching,
     PreferenceList,
     brute_force,
+    compute_is_marriage,
     find_deviation,
     has_no_unacceptability,
     is_individually_rational,
     mmm_to_marriage_ns,
     mmm_to_roommate_is,
     parse_instance,
-    raise_preferences,
     random_game,
     serialize_instance,
 )
@@ -87,7 +87,6 @@ def test_random_games_raised_and_unraised():
         make = random_roommate if seed % 2 else random_marriage
         game = make(seed, tie_probability=0.5, **extra)
         check_game(game)
-        check_game(raise_preferences(game))
 
 
 def test_directly_built_lists_round_trip():
@@ -105,7 +104,6 @@ def test_directly_built_lists_round_trip():
         pl = PreferenceList(owner, tiers, self_tier, self_tied)
         assert (pl.tiers, pl.self_tier, pl.self_tied) == (tiers, self_tier, self_tied)
         check_list(pl, 10)
-        check_list(pl.raised(), 10)
 
 
 def test_reduction_games():
@@ -193,3 +191,17 @@ def test_complete_parse_memory():
     # The game itself takes about 7 MiB; a fresh int object per listed id
     # above 256 would add about 3 MiB.
     assert peak < 9 * 2**20
+
+
+def test_is_marriage_solver_memory():
+    # Deferred acceptance reads each list's acceptable prefix in place.  A
+    # second, rewritten copy of every tied list would take over 1 MiB here.
+    game = random_game(COMPLETE_MARRIAGE)
+    tracemalloc.start()
+    try:
+        result = compute_is_marriage(game)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert find_deviation(game, result, Concept.IS) is None
+    assert peak < 2**19

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -27,6 +28,7 @@ from stablepairs import (
     parse_instance,
     random_game,
     run_dynamics,
+    serialize_instance,
 )
 from stablepairs import solvers
 from stablepairs.model import GenParams
@@ -151,6 +153,38 @@ def test_gale_shapley_strict_complete_has_no_core_block():
         game = random_marriage(seed, tie_probability=0.0, complete=True)
         m = gale_shapley(game, proposers="women" if seed % 2 else "men")
         assert find_pair_block(game, m, strict=False) is None
+
+
+def test_gale_shapley_pairs_players_tied_with_being_alone():
+    game = parse_instance("marriage 1 1\n1: ( 2 self )\n2: ( 1 self )\n")
+    for proposers in ("men", "women"):
+        assert pairs_of(gale_shapley(game, proposers)) == [(1, 2)], proposers
+
+
+def raise_text(text: str) -> str:
+    """Move each ``self`` out of its tie group to just after the group."""
+    return re.sub(
+        r"\(([^()]*)\bself\b([^()]*)\)", lambda g: f"( {g[1]} {g[2]} ) self", text
+    )
+
+
+def test_gale_shapley_matches_the_textually_raised_game():
+    # With being alone moved just below its tie group, the same players stay
+    # acceptable and no list has a tie with being alone, so deferred
+    # acceptance must pair exactly as on the game as given.
+    games = [random_marriage(seed, max_side=6, tie_probability=0.5) for seed in range(1500)]
+    rng = random.Random(2024)
+    games += [g for g in (random_listed_game(rng) for _ in range(4000)) if g.is_marriage]
+    tied = 0
+    for game in games:
+        text = serialize_instance(game)
+        raised_text = raise_text(text)
+        tied += raised_text != text
+        raised = parse_instance(raised_text)
+        assert not any(pl.self_tied for pl in raised.profile)
+        for proposers in ("men", "women"):
+            assert gale_shapley(game, proposers) == gale_shapley(raised, proposers), text
+    assert tied >= 1000
 
 
 def test_gale_shapley_rejects_roommate_games():
