@@ -135,7 +135,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     elif args.concept == "ns-complete":
         matching = compute_ns_marriage_complete(game)
     else:
-        report = (compute_cis_ir if args.concept == "cis-ir" else compute_cns)(game)
+        report = compute_cis_ir(game) if args.concept == "cis-ir" else compute_cns(game)
         matching = report.matching
         header += f" deviations={report.deviation_count}"
     print(header)

@@ -62,33 +62,38 @@ class ReductionArtifact(Frozen):
 MAX_LIST_ENTRIES = 2_000_000
 
 
-def _list_entries(kind: str, n: int, k: int, num_edges: int) -> int:
-    """Total list length of the game built on a padded graph, in closed form.
+def _game_size(g0: Graph, k: int, kind: str) -> tuple[int, int]:
+    """Side size ``n`` of the padded subdivision of ``g0``, and the total
+    list length of the game built on it, both in closed form.
 
-    The two graph sides list their neighbors: ``2 * num_edges`` entries.
-    Every filler is listed by each of the ``n`` A-players.  A marriage
-    filler lists the ``n + 1`` men, and there are ``n - k`` of them; a
-    roommate filler lists the ``n`` A-players and two of its triplet, and
-    there are ``3(n - k)``.
+    Subdividing ``g0`` gives sides of ``g0.n`` vertices and ``e`` edge
+    vertices joined by ``2e`` edges; :func:`pad_bipartition` adds
+    ``r = |g0.n - e|`` anchors, each with two stub edges.  Graph players list
+    their neighbors, and the ``n`` A-players list every filler.  A marriage
+    filler lists the ``n + 1`` men, and there are ``n - k``; a roommate
+    filler lists the A-players and two of its triplet, and there are
+    ``3(n - k)``.
     """
-    if kind == MARRIAGE:
-        return 2 * num_edges + (n - k) * (2 * n + 1)
-    return 2 * num_edges + 3 * (n - k) * (2 * n + 2)
+    e = len(g0.edges)
+    r = abs(g0.n - e)
+    n = max(g0.n, e) + r
+    fillers, listed = (n - k, n + 1) if kind == MARRIAGE else (3 * (n - k), n + 2)
+    return n, 4 * (e + r) + fillers * (n + listed)
 
 
 def _prepare(g0: Graph, k: int, kind: str) -> tuple[Graph, int, list[int], list[int], int]:
-    padded, record = pad_bipartition(subdivision_graph(g0))
-    assert padded.parts is not None
-    a_side = sorted(padded.parts[0])
-    b_side = sorted(padded.parts[1])
-    n = len(a_side)
+    # Sized before it is built, so a huge graph is refused at once.
+    n, size = _game_size(g0, k, kind)
     if not 0 <= k <= n:
         raise PreconditionError(f"k must lie in 0..{n}, got {k}")
-    size = _list_entries(kind, n, k, len(padded.edges))
     if size > MAX_LIST_ENTRIES:
         raise PreconditionError(
             f"the {kind} game would list {size} entries, above the limit of {MAX_LIST_ENTRIES}"
         )
+    padded, record = pad_bipartition(subdivision_graph(g0))
+    assert padded.parts is not None
+    a_side = sorted(padded.parts[0])
+    b_side = sorted(padded.parts[1])
     return padded, record.r, a_side, b_side, n
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 import time
 
 import pytest
@@ -16,8 +17,8 @@ from stablepairs import (
     pad_bipartition,
     subdivision_graph,
 )
-from stablepairs.reductions import MAX_LIST_ENTRIES, _list_entries
-from support import SMALL_GRAPHS, search_status
+from stablepairs.reductions import MAX_LIST_ENTRIES, _game_size
+from support import SMALL_GRAPHS, random_graph, search_status
 
 SINGLE_EDGE = Graph.build(2, [(1, 2)])
 
@@ -74,26 +75,29 @@ def test_reduction_rejects_k_out_of_range():
 
 
 @pytest.mark.parametrize("build", [mmm_to_marriage_ns, mmm_to_roommate_is])
-def test_list_entries_formula_matches_built_games(build):
-    for name, graph in SMALL_GRAPHS.items():
+def test_game_size_formula_matches_built_games(build):
+    rng = random.Random(5)
+    graphs = list(SMALL_GRAPHS.items())
+    graphs += [(f"random{t}", random_graph(rng.randint(1, 7), rng.random(), rng)) for t in range(30)]
+    for name, graph in graphs:
         n = build(graph, 0).n
         for k in range(n + 1):
             artifact = build(graph, k)
             game = artifact.game
+            assert len(artifact.graph.parts[0]) == len(artifact.graph.parts[1]) == n, name
             built = sum(len(pl.order) for pl in game.profile)
-            formula = _list_entries(game.kind, artifact.n, k, len(artifact.graph.edges))
-            assert formula == built, (name, k)
+            assert _game_size(graph, k, game.kind) == (n, built), (name, k)
 
 
 def test_reduction_refuses_games_above_the_size_limit():
-    # 5000 isolated vertices pad to sides of 10,000: hundreds of millions
-    # of entries, refused before any list is built.
-    isolated = Graph.build(5000, [])
-    for build in (mmm_to_marriage_ns, mmm_to_roommate_is):
-        start = time.perf_counter()
-        with pytest.raises(PreconditionError, match=f"above the limit of {MAX_LIST_ENTRIES}$"):
-            build(isolated, 0)
-        assert time.perf_counter() - start < 0.5
+    # 5000 isolated vertices pad to sides of 10,000 and 10**9 to 2 * 10**9:
+    # refused before the padded graph or any list is built.
+    for isolated in (Graph.build(5000, []), Graph.build(10**9, [])):
+        for build in (mmm_to_marriage_ns, mmm_to_roommate_is):
+            start = time.perf_counter()
+            with pytest.raises(PreconditionError, match=f"above the limit of {MAX_LIST_ENTRIES}$"):
+                build(isolated, 0)
+            assert time.perf_counter() - start < 0.1
     # 400 isolated vertices pad to sides of 800, where only the roommate
     # game (3,846,400 entries) is refused; the marriage game lists 1,282,400.
     with pytest.raises(PreconditionError, match="would list 3846400 entries"):
