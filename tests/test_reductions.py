@@ -78,7 +78,7 @@ def test_reduction_rejects_k_out_of_range():
 def test_game_size_formula_matches_built_games(build):
     rng = random.Random(5)
     graphs = list(SMALL_GRAPHS.items())
-    graphs += [(f"random{t}", random_graph(rng.randint(1, 7), rng.random(), rng)) for t in range(30)]
+    graphs += [(t, random_graph(rng.randint(1, 7), rng.random(), rng)) for t in range(30)]
     for name, graph in graphs:
         n = build(graph, 0).n
         for k in range(n + 1):
