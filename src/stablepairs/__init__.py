@@ -9,12 +9,9 @@ generators, all behind one CLI.
 from .errors import FormatError, InternalCheckError, PreconditionError
 from .graph_matching import (
     Graph,
-    PaddingRecord,
     max_matching,
     minimum_maximal_matching,
-    pad_bipartition,
     parse_graph,
-    subdivision_graph,
 )
 from .matching import Matching, parse_matching, serialize_matching
 from .model import (
@@ -67,7 +64,6 @@ __all__ = [
     "InternalCheckError",
     "MARRIAGE",
     "Matching",
-    "PaddingRecord",
     "PairBlockWitness",
     "PlayerRole",
     "PreconditionError",
@@ -91,7 +87,6 @@ __all__ = [
     "minimum_maximal_matching",
     "mmm_to_marriage_ns",
     "mmm_to_roommate_is",
-    "pad_bipartition",
     "parse_graph",
     "parse_instance",
     "parse_matching",
@@ -99,7 +94,6 @@ __all__ = [
     "run_dynamics",
     "serialize_instance",
     "serialize_matching",
-    "subdivision_graph",
 ]
 
 __version__ = "0.1.0"

@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import FormatError, PreconditionError
+from .errors import PreconditionError
 from .graph_matching import parse_graph
 from .matching import Matching, parse_matching, serialize_matching
 from .model import (
@@ -312,10 +312,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return _COMMANDS[args.command](args)
-    except (FormatError, PreconditionError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # FormatError and PreconditionError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # InternalCheckError included: a bug, not an answer

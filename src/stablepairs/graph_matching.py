@@ -1,4 +1,4 @@
-"""General-graph maximum matching and the graph constructions feeding reductions.
+"""Simple graphs: parsing, maximum matching and minimum maximal matching.
 
 The maximum matching routine is a plain O(n^3) augmenting-path search with
 blossom contraction; instance sizes here are modest, so correctness and
@@ -8,7 +8,7 @@ deliberately exponential and guarded by a size cap.
 
 from __future__ import annotations
 
-from collections import deque, namedtuple
+from collections import deque
 from collections.abc import Iterable
 
 from ._frozen import Frozen
@@ -27,39 +27,21 @@ def _normalize(edges: Iterable[tuple[int, int]]) -> frozenset[Edge]:
 
 
 class Graph(Frozen):
-    """Simple undirected graph on vertices ``1..n`` with an optional bipartition."""
+    """Simple undirected graph on vertices ``1..n``."""
 
-    __slots__ = ("n", "edges", "parts")
+    __slots__ = ("n", "edges")
 
-    def __init__(
-        self,
-        n: int,
-        edges: frozenset[Edge],
-        parts: tuple[frozenset[int], frozenset[int]] | None = None,
-    ) -> None:
-        Frozen.__init__(self, n, edges, parts)
+    def __init__(self, n: int, edges: frozenset[Edge]) -> None:
+        Frozen.__init__(self, n, edges)
         if n < 0:
             raise ValueError("vertex count must be non-negative")
         for u, v in edges:
             if not (1 <= u < v <= n):
                 raise ValueError(f"edge ({u}, {v}) is not a normalized in-range pair")
-        if parts is not None:
-            a, b = parts
-            if a & b or a | b != frozenset(range(1, n + 1)):
-                raise ValueError("bipartition must split the vertex set")
-            for u, v in edges:
-                if (u in a) == (v in a):
-                    raise ValueError(f"edge ({u}, {v}) does not cross the bipartition")
 
     @classmethod
-    def build(
-        cls,
-        n: int,
-        edges: Iterable[tuple[int, int]],
-        parts: tuple[Iterable[int], Iterable[int]] | None = None,
-    ) -> Graph:
-        p = None if parts is None else (frozenset(parts[0]), frozenset(parts[1]))
-        return cls(n, _normalize(edges), p)
+    def build(cls, n: int, edges: Iterable[tuple[int, int]]) -> Graph:
+        return cls(n, _normalize(edges))
 
     def adjacency(self) -> list[list[int]]:
         """Sorted adjacency lists, index 0 unused."""
@@ -238,64 +220,3 @@ def minimum_maximal_matching(g: Graph, cap: int = 20) -> int:
 
     rec(0, 0)
     return best
-
-
-def subdivision_graph(g0: Graph) -> Graph:
-    """Replace each edge by a length-2 path through a fresh vertex.
-
-    The result is bipartite with the original vertices on one side and the
-    edge-vertices on the other, and has twice as many edges as ``g0``.
-    """
-    n0 = g0.n
-    edges: list[Edge] = []
-    for idx, (u, v) in enumerate(sorted(g0.edges), 1):
-        mid = n0 + idx
-        edges.append((u, mid))
-        edges.append((v, mid))
-    return Graph.build(
-        n0 + len(g0.edges),
-        edges,
-        parts=(range(1, n0 + 1), range(n0 + 1, n0 + len(g0.edges) + 1)),
-    )
-
-
-class PaddingRecord(namedtuple("PaddingRecord", "r anchors stubs")):
-    """What :func:`pad_bipartition` added: ``r`` anchors and their stub pairs.
-
-    Each anchor vertex went to the larger side with exactly two fresh
-    neighbors (its stubs) on the smaller side, so every maximal matching must
-    use exactly one stub edge per anchor: minimum maximal matching sizes
-    shift by exactly ``r``.
-    """
-
-    __slots__ = ()
-
-
-def pad_bipartition(g: Graph) -> tuple[Graph, PaddingRecord]:
-    """Balance the two sides of a bipartite graph with anchor/stub gadgets.
-
-    If one side is larger by ``r``, add ``r`` anchors to it and ``2r`` stubs
-    to the other side, each anchor adjacent to its own two stubs.  A maximal
-    matching of size ``k`` in the input corresponds to one of size ``k + r``
-    in the output and vice versa.
-    """
-    if g.parts is None:
-        raise ValueError("pad_bipartition needs a graph with a declared bipartition")
-    a, b = g.parts
-    if len(a) == len(b):
-        return g, PaddingRecord(0, (), ())
-    big, small = (a, b) if len(a) > len(b) else (b, a)
-    r = len(big) - len(small)
-    anchors = tuple(range(g.n + 1, g.n + r + 1))
-    stubs = tuple(
-        (g.n + r + 2 * t - 1, g.n + r + 2 * t) for t in range(1, r + 1)
-    )
-    edges = set(g.edges)
-    for anchor, (s1, s2) in zip(anchors, stubs):
-        edges.add((min(anchor, s1), max(anchor, s1)))
-        edges.add((min(anchor, s2), max(anchor, s2)))
-    new_big = big | frozenset(anchors)
-    new_small = small | frozenset(x for pair in stubs for x in pair)
-    parts = (new_big, new_small) if len(a) > len(b) else (new_small, new_big)
-    padded = Graph(g.n + 3 * r, frozenset(edges), parts)
-    return padded, PaddingRecord(r, anchors, stubs)

@@ -9,6 +9,15 @@ maximal matching of size at most ``k``?":
 * the roommate construction has an individually stable matching iff the
   answer is yes.
 
+The padded subdivision of ``g0`` with ``e`` edges is numbered as follows:
+``g0``'s vertices keep ids ``1..g0.n`` and form the A side; the t-th edge of
+``g0`` in sorted order becomes B vertex ``g0.n + t``, joined to both its
+ends.  Then come ``r = |g0.n - e|`` anchors and ``2r`` stubs, anchor t joined
+to stubs ``2t - 1`` and ``2t``; the anchors join the larger side and the
+stubs the smaller one, so both sides have ``n = max(g0.n, e) + r`` vertices.
+Every maximal matching uses exactly one stub edge per anchor, so padding
+shifts minimum maximal matching sizes by exactly ``r``.
+
 The answer side of each game is a bank of filler players who must be absorbed
 by graph players left exposed by a small maximal matching; in the roommate
 variant each filler is a triplet of players wired into a deviation cycle that
@@ -21,7 +30,7 @@ from collections import namedtuple
 
 from ._frozen import Frozen
 from .errors import PreconditionError
-from .graph_matching import Graph, pad_bipartition, subdivision_graph
+from .graph_matching import Graph
 from .model import MARRIAGE, ROOMMATE, Game, PreferenceList
 
 
@@ -62,39 +71,48 @@ class ReductionArtifact(Frozen):
 MAX_LIST_ENTRIES = 2_000_000
 
 
-def _game_size(g0: Graph, k: int, kind: str) -> tuple[int, int]:
-    """Side size ``n`` of the padded subdivision of ``g0``, and the total
-    list length of the game built on it, both in closed form.
+def _game_size(g0: Graph, k: int, kind: str) -> tuple[int, int, int]:
+    """Side size ``n`` and padding count ``r`` of the padded subdivision of
+    ``g0``, and the total list length of the game built on it.
 
     Subdividing ``g0`` gives sides of ``g0.n`` vertices and ``e`` edge
-    vertices joined by ``2e`` edges; :func:`pad_bipartition` adds
-    ``r = |g0.n - e|`` anchors, each with two stub edges.  Graph players list
-    their neighbors, and the ``n`` A-players list every filler.  A marriage
-    filler lists the ``n + 1`` men, and there are ``n - k``; a roommate
-    filler lists the A-players and two of its triplet, and there are
-    ``3(n - k)``.
+    vertices joined by ``2e`` edges; padding adds ``r = |g0.n - e|``
+    anchors, each with two stub edges.  Graph players list their neighbors,
+    and the ``n`` A-players list every filler.  A marriage filler lists the
+    ``n + 1`` men, and there are ``n - k``; a roommate filler lists the
+    A-players and two of its triplet, and there are ``3(n - k)``.
     """
     e = len(g0.edges)
     r = abs(g0.n - e)
     n = max(g0.n, e) + r
     fillers, listed = (n - k, n + 1) if kind == MARRIAGE else (3 * (n - k), n + 2)
-    return n, 4 * (e + r) + fillers * (n + listed)
+    return n, r, 4 * (e + r) + fillers * (n + listed)
 
 
 def _prepare(g0: Graph, k: int, kind: str) -> tuple[Graph, int, list[int], list[int], int]:
+    """The padded subdivision of ``g0``, its ``r``, its sorted A and B sides
+    and their size ``n``, numbered as the module docstring says."""
     # Sized before it is built, so a huge graph is refused at once.
-    n, size = _game_size(g0, k, kind)
+    n, r, size = _game_size(g0, k, kind)
     if not 0 <= k <= n:
         raise PreconditionError(f"k must lie in 0..{n}, got {k}")
     if size > MAX_LIST_ENTRIES:
         raise PreconditionError(
             f"the {kind} game would list {size} entries, above the limit of {MAX_LIST_ENTRIES}"
         )
-    padded, record = pad_bipartition(subdivision_graph(g0))
-    assert padded.parts is not None
-    a_side = sorted(padded.parts[0])
-    b_side = sorted(padded.parts[1])
-    return padded, record.r, a_side, b_side, n
+    e = len(g0.edges)
+    last = g0.n + e  # the last edge vertex
+    anchors = range(last + 1, last + r + 1)
+    stubs = range(last + r + 1, last + 3 * r + 1)
+    edges: list[tuple[int, int]] = []
+    for mid, (u, v) in enumerate(sorted(g0.edges), g0.n + 1):
+        edges += ((u, mid), (v, mid))
+    for t, anchor in enumerate(anchors):
+        edges += ((anchor, stubs[2 * t]), (anchor, stubs[2 * t + 1]))
+    a_pad, b_pad = (anchors, stubs) if g0.n > e else (stubs, anchors)
+    a_side = [*range(1, g0.n + 1), *a_pad]
+    b_side = [*range(g0.n + 1, last + 1), *b_pad]
+    return Graph(last + 3 * r, frozenset(edges)), r, a_side, b_side, n
 
 
 def _graph_players(

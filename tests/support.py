@@ -4,9 +4,9 @@ Oracles here deliberately avoid the library's optimized code paths: matching
 counts come from the involution recurrence, maximum matchings from plain
 exhaustive search, stability counts from filtering this module's own
 unrestricted enumeration of matchings through the definitional verifiers,
-maximality from a direct edge scan, better-response dynamics from a full
-verifier scan after every move, and preference ranks and acceptability from
-the public tier fields alone.
+maximality from a direct edge scan, subdivisions from their definition,
+better-response dynamics from a full verifier scan after every move, and
+preference ranks and acceptability from the public tier fields alone.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from stablepairs import (
     Graph,
     Matching,
     PreferenceList,
+    ReductionArtifact,
     find_deviation,
     is_stable,
     parse_instance,
@@ -274,6 +275,24 @@ def random_graph(n: int, edge_prob: float, rng: random.Random) -> Graph:
         if rng.random() < edge_prob
     ]
     return Graph.build(n, edges)
+
+
+def subdivision(g0: Graph) -> Graph:
+    """Reference subdivision: each edge of ``g0`` becomes a path of two
+    edges through a fresh vertex, numbered after ``g0``'s vertices."""
+    edges = []
+    for mid, (u, v) in enumerate(sorted(g0.edges), g0.n + 1):
+        edges += [(u, mid), (v, mid)]
+    return Graph.build(g0.n + len(g0.edges), edges)
+
+
+def reduction_sides(artifact: ReductionArtifact) -> tuple[list[int], list[int]]:
+    """The graph vertices of a reduction's A-role and B-role players."""
+    roles = artifact.roles.values()
+    return (
+        [role.vertex for role in roles if role.kind == "A"],
+        [role.vertex for role in roles if role.kind == "B"],
+    )
 
 
 def random_roommate(seed: int, max_n: int = 8, **kwargs) -> Game:

@@ -1,4 +1,5 @@
-"""Blossom matching against an exhaustive oracle, plus the gadget constructions."""
+"""Blossom matching against an exhaustive oracle, plus the padded subdivision
+that both reductions build, checked through their artifacts."""
 
 from __future__ import annotations
 
@@ -12,15 +13,17 @@ from stablepairs import (
     PreconditionError,
     max_matching,
     minimum_maximal_matching,
-    pad_bipartition,
+    mmm_to_marriage_ns,
+    mmm_to_roommate_is,
     parse_graph,
-    subdivision_graph,
 )
 from support import (
     SMALL_GRAPHS,
     exhaustive_max_matching_size,
     is_maximal_matching,
     random_graph,
+    reduction_sides,
+    subdivision,
 )
 
 
@@ -128,10 +131,11 @@ def test_minimum_maximal_matching_cap():
 
 
 def test_subdivision_single_edge_and_triangle():
-    path = subdivision_graph(Graph.build(2, [(1, 2)]))
-    assert path.n == 3 and len(path.edges) == 2
-    assert path.parts == (frozenset({1, 2}), frozenset({3}))
-    c6 = subdivision_graph(SMALL_GRAPHS["C3"])
+    # The edge (1, 2) becomes the path 1 - 3 - 2; anchor 4 then pads side A.
+    path = mmm_to_marriage_ns(Graph.build(2, [(1, 2)]), 0)
+    assert {(u, v) for u, v in path.graph.edges if v <= 3} == {(1, 3), (2, 3)}
+    assert reduction_sides(path) == ([1, 2, 4], [3, 5, 6])
+    c6 = mmm_to_roommate_is(SMALL_GRAPHS["C3"], 0).graph
     assert c6.n == 6 and len(c6.edges) == 6
     degrees = [0] * (c6.n + 1)
     for u, v in c6.edges:
@@ -144,35 +148,38 @@ def test_subdivision_doubles_edges():
     rng = random.Random(5)
     for _ in range(50):
         g = random_graph(rng.randint(1, 8), 0.4, rng)
-        sub = subdivision_graph(g)
-        assert len(sub.edges) == 2 * len(g.edges)
-        assert sub.parts is not None
-        a, b = sub.parts
-        assert all(((u in a) != (v in a)) for u, v in sub.edges)
+        artifact = mmm_to_marriage_ns(g, 0)
+        last = g.n + len(g.edges)  # the last edge vertex; padding follows
+        sub_edges = {(u, v) for u, v in artifact.graph.edges if v <= last}
+        assert len(sub_edges) == 2 * len(g.edges)
+        assert sub_edges == subdivision(g).edges
+        a, _ = reduction_sides(artifact)
+        assert all(((u in a) != (v in a)) for u, v in artifact.graph.edges)
 
 
 def test_padding_balanced_graph_unchanged():
-    g = subdivision_graph(SMALL_GRAPHS["C3"])  # 3 vs 3 already
-    padded, record = pad_bipartition(g)
-    assert padded == g and record.r == 0
+    g = SMALL_GRAPHS["C3"]  # 3 vertices and 3 edge vertices already
+    for build in (mmm_to_marriage_ns, mmm_to_roommate_is):
+        artifact = build(g, 0)
+        assert artifact.r == 0 and artifact.graph == subdivision(g)
 
 
 def test_padding_single_edge_subdivision():
-    padded, record = pad_bipartition(subdivision_graph(Graph.build(2, [(1, 2)])))
-    assert record.r == 1
+    artifact = mmm_to_marriage_ns(Graph.build(2, [(1, 2)]), 0)
+    padded = artifact.graph
+    assert artifact.r == 1
     assert padded.n == 6
-    a, b = padded.parts
+    a, b = reduction_sides(artifact)
     assert len(a) == len(b) == 3
-    anchor = record.anchors[0]
-    s1, s2 = record.stubs[0]
-    assert (min(anchor, s1), max(anchor, s1)) in padded.edges
-    assert (min(anchor, s2), max(anchor, s2)) in padded.edges
+    anchor, s1, s2 = 4, 5, 6  # after the 2 vertices and the 1 edge vertex
+    assert anchor in a and s1 in b and s2 in b  # the anchor joins the larger side
+    assert (anchor, s1) in padded.edges
+    assert (anchor, s2) in padded.edges
 
 
 def test_padding_shifts_mmm_by_r():
     for name, g in SMALL_GRAPHS.items():
-        sub = subdivision_graph(g)
-        padded, record = pad_bipartition(sub)
-        assert minimum_maximal_matching(padded) == (
-            minimum_maximal_matching(sub) + record.r
+        artifact = mmm_to_marriage_ns(g, 0)
+        assert minimum_maximal_matching(artifact.graph) == (
+            minimum_maximal_matching(subdivision(g)) + artifact.r
         ), name

@@ -15,7 +15,6 @@ PUBLIC_NAMES = [
     "InternalCheckError",
     "MARRIAGE",
     "Matching",
-    "PaddingRecord",
     "PairBlockWitness",
     "PlayerRole",
     "PreconditionError",
@@ -39,7 +38,6 @@ PUBLIC_NAMES = [
     "minimum_maximal_matching",
     "mmm_to_marriage_ns",
     "mmm_to_roommate_is",
-    "pad_bipartition",
     "parse_graph",
     "parse_instance",
     "parse_matching",
@@ -47,7 +45,6 @@ PUBLIC_NAMES = [
     "run_dynamics",
     "serialize_instance",
     "serialize_matching",
-    "subdivision_graph",
 ]
 
 
@@ -60,7 +57,7 @@ def test_public_names_are_pinned_and_resolve():
 RECORD_SLOTS = {
     "PreferenceList": ("owner", "order", "ranks", "self_rank", "bottom_rank", "num_acceptable"),
     "Game": ("n", "profile", "kind", "num_men"),
-    "Graph": ("n", "edges", "parts"),
+    "Graph": ("n", "edges"),
     "ReductionArtifact": ("game", "roles", "graph", "n", "k", "r"),
 }
 

@@ -24,7 +24,6 @@ from stablepairs import (
     GenParams,
     Graph,
     Matching,
-    PaddingRecord,
     PairBlockWitness,
     PlayerRole,
     PreferenceList,
@@ -35,11 +34,9 @@ from stablepairs import (
     find_pair_block,
     mmm_to_marriage_ns,
     mmm_to_roommate_is,
-    pad_bipartition,
     parse_instance,
     random_game,
     run_dynamics,
-    subdivision_graph,
 )
 from support import CYCLIC3, SMALL_GRAPHS
 
@@ -61,10 +58,8 @@ def _records() -> dict[type, tuple[object, tuple[str, ...]]]:
     block = find_pair_block(cyclic, singles, strict=False)
     trace = run_dynamics(cyclic, Concept.NS, singles, 20)
     assert witness is not None and block is not None and trace.outcome == "cycle"
-    graph = subdivision_graph(SMALL_GRAPHS["K13"])
-    _, padding = pad_bipartition(graph)
     artifact = mmm_to_roommate_is(SMALL_GRAPHS["P3"], 1)
-    assert padding.r > 0 and artifact.roles
+    assert artifact.r > 0 and artifact.roles
     role = next(r for r in artifact.roles.values() if r.layer is not None)
     pl = max(marriage.profile, key=lambda pl: len(pl.order))
     assert len(pl.order) > len(pl.tiers) > 1
@@ -73,7 +68,7 @@ def _records() -> dict[type, tuple[object, tuple[str, ...]]]:
             pl,
             ("owner", "order", "ranks", "self_rank", "bottom_rank", "num_acceptable"),
         ),
-        Game: (marriage, ("n", "profile", "kind", "men", "women")),
+        Game: (marriage, ("n", "profile", "kind", "num_men")),
         GenParams: (
             params,
             (
@@ -81,8 +76,7 @@ def _records() -> dict[type, tuple[object, tuple[str, ...]]]:
                 "acceptability_probability", "mutual", "complete", "seed",
             ),
         ),
-        Graph: (graph, ("n", "edges", "parts")),
-        PaddingRecord: (padding, ("r", "anchors", "stubs")),
+        Graph: (artifact.graph, ("n", "edges")),
         PlayerRole: (role, ("kind", "vertex", "gadget", "layer")),
         ReductionArtifact: (artifact, ("game", "roles", "graph", "n", "k", "r")),
         DeviationWitness: (witness, ("mover", "target", "concept")),

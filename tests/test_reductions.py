@@ -14,11 +14,9 @@ from stablepairs import (
     minimum_maximal_matching,
     mmm_to_marriage_ns,
     mmm_to_roommate_is,
-    pad_bipartition,
-    subdivision_graph,
 )
 from stablepairs.reductions import MAX_LIST_ENTRIES, _game_size
-from support import SMALL_GRAPHS, random_graph, search_status
+from support import SMALL_GRAPHS, random_graph, reduction_sides, search_status
 
 SINGLE_EDGE = Graph.build(2, [(1, 2)])
 
@@ -74,19 +72,41 @@ def test_reduction_rejects_k_out_of_range():
         mmm_to_roommate_is(SINGLE_EDGE, -1)
 
 
+def _graphs() -> list[tuple[object, Graph]]:
+    """Every small graph, then 30 seeded random ones."""
+    rng = random.Random(5)
+    graphs: list[tuple[object, Graph]] = list(SMALL_GRAPHS.items())
+    graphs += [(t, random_graph(rng.randint(1, 7), rng.random(), rng)) for t in range(30)]
+    return graphs
+
+
 @pytest.mark.parametrize("build", [mmm_to_marriage_ns, mmm_to_roommate_is])
 def test_game_size_formula_matches_built_games(build):
-    rng = random.Random(5)
-    graphs = list(SMALL_GRAPHS.items())
-    graphs += [(t, random_graph(rng.randint(1, 7), rng.random(), rng)) for t in range(30)]
-    for name, graph in graphs:
+    for name, graph in _graphs():
         n = build(graph, 0).n
         for k in range(n + 1):
             artifact = build(graph, k)
             game = artifact.game
-            assert len(artifact.graph.parts[0]) == len(artifact.graph.parts[1]) == n, name
+            a, b = reduction_sides(artifact)
+            assert len(a) == len(b) == n, name
             built = sum(len(pl.order) for pl in game.profile)
-            assert _game_size(graph, k, game.kind) == (n, built), (name, k)
+            assert _game_size(graph, k, game.kind) == (n, artifact.r, built), (name, k)
+
+
+@pytest.mark.parametrize("build", [mmm_to_marriage_ns, mmm_to_roommate_is])
+def test_reduction_graph_is_the_balanced_padded_subdivision(build):
+    for name, graph in _graphs():
+        e = len(graph.edges)
+        n = build(graph, 0).n
+        for k in range(n + 1):
+            artifact = build(graph, k)
+            padded, r = artifact.graph, artifact.r
+            a, b = reduction_sides(artifact)
+            assert len(a) == len(b) == n, (name, k)
+            assert sorted(a + b) == list(range(1, padded.n + 1)), (name, k)
+            assert all((u in a) != (v in a) for u, v in padded.edges), (name, k)
+            assert padded.n == graph.n + e + 3 * r, (name, k)
+            assert len(padded.edges) == 2 * e + 2 * r, (name, k)
 
 
 def test_reduction_refuses_games_above_the_size_limit():
@@ -105,8 +125,7 @@ def test_reduction_refuses_games_above_the_size_limit():
 
 
 def test_marriage_reduction_soundness_single_edge_all_k():
-    padded, _ = pad_bipartition(subdivision_graph(SINGLE_EDGE))
-    mmm = minimum_maximal_matching(padded)
+    mmm = minimum_maximal_matching(mmm_to_marriage_ns(SINGLE_EDGE, 0).graph)
     for k in range(0, 4):
         artifact = mmm_to_marriage_ns(SINGLE_EDGE, k)
         status, found = search_status(artifact.game, Concept.NS)
@@ -129,8 +148,7 @@ def test_marriage_reduction_k_equals_n_always_solvable():
 
 
 def test_roommate_reduction_soundness_single_edge():
-    padded, _ = pad_bipartition(subdivision_graph(SINGLE_EDGE))
-    mmm = minimum_maximal_matching(padded)
+    mmm = minimum_maximal_matching(mmm_to_roommate_is(SINGLE_EDGE, 0).graph)
     assert mmm == 2
     for k in (1, 2, 3):
         artifact = mmm_to_roommate_is(SINGLE_EDGE, k)

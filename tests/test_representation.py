@@ -81,7 +81,7 @@ def check_game(game: Game) -> None:
     assert definitional_mutual(game) == mutual
 
 
-def test_random_games_raised_and_unraised():
+def test_random_games():
     for seed in range(240):
         extra = {"complete": True} if seed % 3 == 0 else {"mutual": seed % 3 == 1}
         make = random_roommate if seed % 2 else random_marriage
