@@ -41,7 +41,12 @@ concept keeps one definition.  Core and strict core leaves are decided by
 :func:`stablepairs.stability.is_stable`: a block depends on the other
 player's partner, not only on who is single.  IR leaves need no test: under
 IR, rule (b) admits only mutually acceptable pairs, and a single player is
-always individually rational.
+always individually rational.  So every leaf is stable, and
+:func:`brute_force` counts IR matchings without visiting them: a dynamic
+program over players in id order (:func:`_count_matchings`) counts the
+matchings of the rule-(b) graph, keyed by which later players are already
+taken.  Counting matchings is #P-complete in general (Valiant, SIAM
+J. Comput. 1979), but the taken-sets are far fewer than the matchings.
 
 In existence mode (``stop_after == 1``) it also applies (d), symmetry:
 player ``i`` is paired only with the lowest-id undecided member of each
@@ -596,6 +601,39 @@ def _run_search(
     return (Matching(found) if found is not None else None), count, False
 
 
+def _count_matchings(cand: list[list[int]]) -> int:
+    """The number of matchings whose pairs are ``i, j`` for ``j`` in ``cand[i]``.
+
+    A forward dynamic program over players in id order, as the search
+    decides them.  ``ways`` maps a set of later players that earlier players
+    have already taken, as a bitmask, to the number of ways to reach it.
+    Player ``i`` was taken (its bit is cleared), or goes alone, or takes an
+    untaken ``j > i`` from ``cand[i]``; after the last player every bit is
+    cleared.  Each set in a layer comes from at least one way of deciding
+    the earlier players, and the search visits a distinct node for each such
+    way, so no layer holds more sets than the search has nodes.  On a
+    complete game a layer holds at most the subsets of the later players,
+    far fewer than the matchings.
+    """
+    ways = {0: 1}
+    for i in range(1, len(cand)):
+        bit = 1 << i
+        moves = [1 << j for j in cand[i]]
+        after: dict[int, int] = {}
+        get = after.get
+        for taken, w in ways.items():
+            if taken & bit:
+                taken ^= bit
+            else:
+                for b in moves:
+                    if not taken & b:
+                        key = taken | b
+                        after[key] = get(key, 0) + w
+            after[taken] = get(taken, 0) + w
+        ways = after
+    return ways[0]
+
+
 def brute_force(
     game: Game,
     concept: Concept,
@@ -606,12 +644,19 @@ def brute_force(
 
     With ``stop_after`` the search stops once that many stable matchings have
     been seen, so the returned count is ``min(true count, stop_after)``.
-    Refuses games with more than ``cap`` players.
+    The full IR count comes from :func:`_count_matchings`, and its first
+    matching from the existence search.  Refuses games with more than
+    ``cap`` players.
     """
     if game.n > cap:
         raise PreconditionError(
             f"game has {game.n} players, above the brute-force cap {cap}"
         )
+    if concept is Concept.IR and stop_after is None:
+        # Every leaf is IR-stable: the first is the existence search's, and
+        # the count is that of the rule-(b) graph's matchings.
+        found, _, _ = _run_search(game, concept, stop_after=1)
+        return found, _count_matchings(_prune_tables(game, concept)[0])
     found, count, _ = _run_search(game, concept, stop_after=stop_after)
     return found, count
 

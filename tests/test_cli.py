@@ -117,6 +117,17 @@ def test_brute_count_cyclic3(capsys, cyclic3):
     assert out.strip() == "3"  # each pair-plus-singleton split is CNS
 
 
+def test_brute_counts_a_complete_20_player_game_fast(capsys, tmp_path):
+    code, out, _ = run(capsys, "gen", "roommate", "--n", "20", "--complete", "--seed", "1")
+    assert code == 0
+    path = tmp_path / "k20.txt"
+    path.write_text(out)
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "brute", "--count", "--concept", "ir", "--cap", "30", str(path))
+    assert time.perf_counter() - start < 2
+    assert (code, out.strip()) == (0, "23758664096")
+
+
 def test_brute_first_matching_or_none(capsys, cyclic3):
     code, out, _ = run(capsys, "brute", "--concept", "is", cyclic3)
     assert code == 1 and out.strip() == "NONE"

@@ -160,6 +160,21 @@ def test_sparse_search_memory_is_linear():
     assert peak < 10 * 2**20
 
 
+def test_ir_count_memory():
+    # The count keeps two layers of taken-player sets, at most 6,476 sets
+    # in one layer here (about 1.4 MiB at the peak); the search would visit
+    # about 2.4e10 leaves, one per matching.
+    game = random_game(GenParams(kind="roommate", n=20, complete=True, seed=1))
+    tracemalloc.start()
+    try:
+        _, count = brute_force(game, Concept.IR, cap=20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 23_758_664_096
+    assert peak < 4 * 2**20
+
+
 COMPLETE_MARRIAGE = GenParams(
     kind="marriage", n_men=300, n_women=300, tie_probability=0.3, complete=True, seed=17
 )

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import re
+from math import comb, factorial
 
 import pytest
 
@@ -40,6 +41,7 @@ from support import (
     definitional_move,
     enumerate_matchings,
     full_scan_dynamics,
+    involution_count,
     naive_stable_count,
     pairs_of,
     random_listed_game,
@@ -368,6 +370,35 @@ def test_existence_search_agrees_with_naive_oracle_under_symmetry():
             assert status == ("none" if expect_first is None else "found"), (index, concept)
             assert found == expect_first, (index, concept)
             assert brute_force(game, concept) == (expect_first, expect_count), (index, concept)
+
+
+def test_ir_count_agrees_with_the_search():
+    # The count skips the search's leaves; its first matching and its count
+    # must be the search's.  Listed games tie players with being alone and
+    # list players below it.
+    rng = random.Random(5)
+    games = []
+    for seed in range(60):
+        games.append(random_roommate(seed))
+        games.append(random_marriage(seed, max_side=5))
+        games.append(random_roommate(seed, max_n=9, complete=True))
+        games.append(random_listed_game(rng))
+    for index, game in enumerate(games):
+        found, count, _ = _run_search(game, Concept.IR)
+        assert brute_force(game, Concept.IR) == (found, count), index
+
+
+def test_ir_count_of_complete_games():
+    roommate = random_game(GenParams(kind="roommate", n=20, complete=True, seed=1))
+    found, count = brute_force(roommate, Concept.IR, cap=20)
+    # About 2.4e10 leaves, one per matching, were the search to count them.
+    assert count == involution_count(20) == 23_758_664_096
+    assert found == Matching(i + 1 if i % 2 else i - 1 for i in range(1, 21))
+    marriage = random_game(GenParams(
+        kind="marriage", n_men=10, n_women=10, tie_probability=0.3, complete=True, seed=1
+    ))
+    _, count = brute_force(marriage, Concept.IR, cap=20)
+    assert count == sum(comb(10, k) ** 2 * factorial(k) for k in range(11))
 
 
 def test_brute_force_stop_after_and_cap():
