@@ -50,6 +50,10 @@ EXIT_CYCLE = 3
 EXIT_STEP_LIMIT = 4
 EXIT_INTERNAL = 5
 
+#: Most candidate pairs, ``n(n-1)`` or ``2 * men * women``, that ``gen`` may
+#: draw for: 3,162 roommate players, or 2,236 per side of a marriage game.
+MAX_GEN_PAIRS = 10_000_000
+
 
 def _read(path: str) -> str:
     if path == "-":
@@ -272,6 +276,12 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    # random_game draws a number per candidate pair whatever --accept-prob
+    # is, so a huge request is refused before any draw.  Negative counts
+    # are left to random_game's own check.
+    pairs = args.n * (args.n - 1) if args.kind == ROOMMATE else 2 * args.men * args.women
+    if pairs > MAX_GEN_PAIRS and min(args.n, args.men, args.women) >= 0:
+        raise PreconditionError(f"{pairs} candidate pairs exceed the limit of {MAX_GEN_PAIRS}")
     params = GenParams(
         kind=args.kind,
         n=args.n,

@@ -17,27 +17,32 @@ The brute-force search enumerates matchings depth first: the smallest
 undecided player takes each larger undecided candidate in ascending order,
 then goes alone.  It skips, provably without affecting which matchings are
 stable, (b) pairs in which one member strictly prefers being alone and the
-other would not veto its leaving, and (c) branches in which two
-already-final singletons could never coexist in a stable matching.  Only CNS
-and CIS know a veto: the abandoned partner's, when it strictly prefers the
-pair to being alone (:func:`stablepairs.stability._consent`).  Without a
-veto the leaver deviates to the empty coalition (NS, IS, CNS, CIS) or blocks
-alone (IR, core, strict core) whatever the rest of the matching is; for
-every concept but CNS and CIS, (b) keeps exactly the mutually acceptable
-pairs.  Rule (b) subsumes rule (a), the skip of same-sex pairs in marriage
-games: such players never list each other, and every player ranks unlisted
-players below being alone, so each would leave the other and neither vetoes.
-Both rules are tabulated once, before the search, in one O(n + L) pass over
-the compiled ranks (``L`` listed entries); the search keeps no dense rank
-table, and its loop reads no rank outside the leaf test.
+other would not veto its leaving, and (c), under core and strict core,
+branches in which two already-final singletons could never coexist in a
+stable matching.  Only CNS and CIS know a veto: the abandoned partner's,
+when it strictly prefers the pair to being alone
+(:func:`stablepairs.stability._consent`).  Without a veto the leaver
+deviates to the empty coalition (NS, IS, CNS, CIS) or blocks alone (IR,
+core, strict core) whatever the rest of the matching is; for every concept
+but CNS and CIS, (b) keeps exactly the mutually acceptable pairs.  Rule (b)
+subsumes rule (a), the skip of same-sex pairs in marriage games: such
+players never list each other, and every player ranks unlisted players below
+being alone, so each would leave the other and neither vetoes.  Both rules
+are tabulated once, before the search, in one O(n + L) pass over the
+compiled ranks (``L`` listed entries); the search keeps no dense rank table,
+and its loop reads no rank outside the leaf test.
 
 Under NS, IS, CNS and CIS a leaf is stable iff no player would move to a
 single player or go alone.  :func:`_target_table` lists, once per search,
 each player's moves from each partner a leaf can give it, as
 :func:`stablepairs.stability._move_targets` (the rule that
 :func:`stablepairs.stability.find_deviation` applies) yields them with
-everyone else single.  A leaf then takes one lookup per player, and each
-concept keeps one definition.  Core and strict core leaves are decided by
+everyone else single; each concept keeps one definition.  Below a node,
+decided players keep their partners, so (e), forward checking (Haralick &
+Elliott, AI 14, 1980), drops a branch once a decided player's move targets
+a decided single or going alone; rule (c) is its two-singles case.  Every
+leaf reached is then stable, and the table check there is kept as an
+:class:`InternalCheckError`.  Core and strict core leaves are decided by
 :func:`stablepairs.stability.is_stable`: a block depends on the other
 player's partner, not only on who is single.  IR leaves need no test: under
 IR, rule (b) admits only mutually acceptable pairs, and a single player is
@@ -57,7 +62,7 @@ from every other player.  Two such swaps compose to a third, so this is an
 equivalence relation.  Rule (d) changes neither the answer nor the first
 matching found.  At any node both ``j`` and ``j'`` are undecided, so the swap
 fixes the decided prefix and maps the subtree under ``i-j'`` onto the
-subtree under ``i-j``; every concept and rules (b) and (c) read only ranks,
+subtree under ``i-j``; every concept and rules (b), (c) and (e) read only ranks,
 which the swap preserves; and the ``i-j`` subtree is searched first,
 so when it holds no stable matching its image holds none either.  Count mode
 (``stop_after=None``) and any larger ``stop_after`` run unreduced, so counts
@@ -339,35 +344,26 @@ def _assert_ns(game: Game, matching: Matching) -> None:
         raise InternalCheckError("constructed matching failed NS verification")
 
 
-def _prune_tables(game: Game, concept: Concept) -> tuple[list[list[int]], list[set[int]]]:
+def _prune_tables(game: Game, concept: Concept) -> tuple[list[list[int]], list[int]]:
     """Rules (b) and (c) for every pair, in one O(n + L) pass over the ranks.
 
     For a pair ``i, j`` let ``a`` and ``b`` be each member's rank of the
     other minus its own self rank.  Rule (b) keeps the pair in ``cand[i]``
     (``i < j``, ascending) when both weakly prefer it to being alone, and
     under CNS and CIS also when one strictly does, since that member vetoes
-    the other's leaving.  Rule (c) puts ``j`` in ``clash[i]`` and ``i`` in
-    ``clash[j]`` when the two cannot both stay single: under NS and CNS one
-    would join the other; under IS and CIS one would, and be accepted; under
-    core both would be strictly better off together; under strict core both
-    weakly and one strictly.  Both rules need ``a <= 0`` or ``b <= 0``, so
-    each player walks only the prefix of its ``order`` it ranks at or above
-    being alone.
+    the other's leaving.  Rule (c), under core and strict core only, sets
+    bit ``j`` of ``clash[i]`` and bit ``i`` of ``clash[j]`` when the two
+    cannot both stay single: under core both would be strictly better off
+    together, under strict core both weakly and one strictly.  Both rules
+    need ``a <= 0`` or ``b <= 0``, so each player walks only the prefix of
+    its ``order`` it ranks at or above being alone.
     """
     _, vetoes = _consent(concept)
-    if concept in (Concept.NS, Concept.CNS):
-        clashes = lambda a, b: a < 0 or b < 0
-    elif concept in (Concept.IS, Concept.CIS):
-        clashes = lambda a, b: (a < 0 and b <= 0) or (b < 0 and a <= 0)
-    elif concept is Concept.CORE:
-        clashes = lambda a, b: a < 0 and b < 0
-    elif concept is Concept.STRICT_CORE:
-        clashes = lambda a, b: a <= 0 and b <= 0 and (a < 0 or b < 0)
-    else:  # IR
-        clashes = None
+    core = concept in (Concept.CORE, Concept.STRICT_CORE)
+    weak = concept is Concept.STRICT_CORE
     profile = game.profile
     cand: list[list[int]] = [[] for _ in range(game.n + 1)]
-    clash: list[set[int]] = [set() for _ in range(game.n + 1)]
+    clash = [0] * (game.n + 1)
     for pl in profile:
         i, ranks, alone = pl.owner, pl.ranks, pl.self_rank
         for j in pl.order[: pl.num_acceptable]:
@@ -378,9 +374,9 @@ def _prune_tables(game: Game, concept: Concept) -> tuple[list[list[int]], list[s
                 continue  # j accepts i too, so j's walk covers the pair
             if (a <= 0 and b <= 0) or (vetoes and (a < 0 or b < 0)):
                 cand[min(i, j)].append(max(i, j))
-            if clashes is not None and clashes(a, b):
-                clash[i].add(j)
-                clash[j].add(i)
+            if core and ((a < 0 and b < 0) or (weak and a <= 0 and b <= 0 and a + b < 0)):
+                clash[i] |= 1 << j
+                clash[j] |= 1 << i
     for row in cand:
         row.sort()
     return cand, clash
@@ -388,7 +384,7 @@ def _prune_tables(game: Game, concept: Concept) -> tuple[list[list[int]], list[s
 
 def _target_table(
     game: Game, concept: Concept, cand: list[list[int]]
-) -> list[dict[int, tuple[int, ...]]]:
+) -> tuple[list[dict[int, tuple[int, ...]]], list[int], list[list[tuple[int, int]]]]:
     """``targets[q][p]``: whom player ``q`` would move to when paired with ``p``.
 
     The tuple lists, best first, the moves that
@@ -398,8 +394,12 @@ def _target_table(
     the first of them that is single.  ``p`` ranges over ``q`` itself
     (single) and q's rule-(b) neighbours in ``cand``, the only partners a
     search leaf can give ``q``.  ``targets[0]`` maps 0 to no targets, so the
-    table can be read along the whole partner list.  Set-up costs
-    O(sum over q of (1 + deg_q) * len(order_q)).
+    table can be read along the whole partner list.
+
+    Rule (e) reads the moves as bitmasks, bit ``t`` for target ``t``:
+    ``alone[q]`` for q single, and ``branches[i]`` pairs each ``j`` in
+    ``cand[i]`` with the pair's mask.  Set-up costs O(sum over q of
+    (1 + deg_q) * len(order_q)).
     """
     need_target, need_left = _consent(concept)
     neighbours = [[q] for q in range(game.n + 1)]
@@ -409,6 +409,8 @@ def _target_table(
             neighbours[j].append(i)
     profile = game.profile
     targets: list[dict[int, tuple[int, ...]]] = [{0: ()}]
+    alone = [0] * (game.n + 1)
+    pair = [dict.fromkeys(row, 0) for row in cand]  # pair[i][j]: both members' masks
     # The matching that pairs q with p and leaves everyone else single.
     partner_of = list(range(1, game.n + 1))
     for pl in profile:
@@ -416,13 +418,22 @@ def _target_table(
         row: dict[int, tuple[int, ...]] = {}
         for p in neighbours[q]:
             partner_of[q - 1], partner_of[p - 1] = p, q
-            row[p] = tuple(
-                t if t != q else 0
-                for t in _move_targets(profile, partner_of, pl, need_target, need_left)
-            )
+            mask = 0
+            moves = []
+            for t in _move_targets(profile, partner_of, pl, need_target, need_left):
+                t = t if t != q else 0
+                moves.append(t)
+                mask |= 1 << t
+            row[p] = tuple(moves)
+            if p == q:
+                alone[q] = mask
+            elif q < p:
+                pair[q][p] |= mask
+            else:
+                pair[p][q] |= mask
             partner_of[q - 1], partner_of[p - 1] = q, p
         targets.append(row)
-    return targets
+    return targets, alone, [list(row.items()) for row in pair]
 
 
 def _table_stable(targets: list[dict[int, tuple[int, ...]]], pi: list[int]) -> bool:
@@ -503,19 +514,25 @@ def _run_search(
     count, exhausted)``; ``exhausted`` is False when the search stopped
     early on ``stop_after`` or ``node_budget``.  Every visit to a search
     position counts as one node, leaves included, so the budget counts the
-    search as rules (b)-(d) reduce it.  The recursion over players runs on an explicit
-    stack, so the depth is not limited by the interpreter's.  Rules (b) and
-    (c) come from :func:`_prune_tables` in O(n + L) time and memory for
-    ``L`` listed entries, and deviation-concept leaves from
-    :func:`_target_table` in O(sum over q of (1 + deg_q) * len(order_q));
-    the loop reads no rank outside the core and strict-core leaf tests.
-    Rule (c) costs a node at most the smaller of the player's clashes and
-    the singles placed so far.
+    search as rules (b)-(e) reduce it.  The recursion over players runs on
+    an explicit stack, so the depth is not limited by the interpreter's.
+    Rules (b) and (c) come from :func:`_prune_tables` in O(n + L) time and
+    memory for ``L`` listed entries, and rule (e) and deviation-concept
+    leaves from :func:`_target_table`; the loop reads no rank outside the
+    core and strict-core leaf tests.  Rules (c) and (e) cost a branch O(1)
+    operations on n-bit ints.
     """
     n = game.n
-    cand, clash = _prune_tables(game, concept)
+    # Each branch adds a mask of players who must not be single: alone[i]
+    # when i goes alone, and a mask beside each j in branches[i] when i
+    # takes j.  Rule (c) is the core case, with masks only for singles.
+    cand, alone = _prune_tables(game, concept)
     ir = concept is Concept.IR
-    targets = _target_table(game, concept, cand) if concept in DEVIATION_CONCEPTS else None
+    targets = None
+    if concept in DEVIATION_CONCEPTS:
+        targets, alone, branches = _target_table(game, concept, cand)
+    else:
+        branches = [[(j, 0) for j in row] for row in cand]
     # Rule (d).  The undecided members of a class always form a suffix of
     # it, so j is the lowest one exactly when its earlier twin is decided.
     # Index 0 stands for "no earlier twin" and stays decided.
@@ -523,15 +540,21 @@ def _run_search(
 
     pi = list(range(n + 1))
     decided = [True] + [False] * n
-    # Rule (c) state: the decided players that stay single.  Clashes are
-    # symmetric, so a player without one is never looked up and not kept.
-    singles: set[int] = set()
+    # Rules (c) and (e).  ``single`` has a bit per decided single and bit 0,
+    # for going alone.  ``moves`` is the union of the masks of the decided
+    # players' branches; every node keeps ``moves & single == 0``, so no
+    # decided player has an open move.  ``base[i]`` is ``moves`` as frame i
+    # found it, shared with the frame above while no branch changed it.
+    single = 1
+    moves = 0
+    base = [0] * (n + 1)
     found: tuple[int, ...] | None = None
     count = 0
     left = node_budget  # nodes the budget still allows; only counted under a budget
     # A frame is owned by its branching player i: up[i] is the frame above
-    # (0 above the root) and rest[i] iterates i's untried partners.  j is the
-    # partner of the current frame's latest branch, i itself when alone.
+    # (0 above the root) and rest[i] iterates i's untried partners with
+    # their pair masks.  j is the partner of the current frame's latest
+    # branch, i itself when alone.
     i = j = 0
     untried = None
     up = [0] * (n + 1)
@@ -548,13 +571,16 @@ def _run_search(
         if k <= n:
             decided[k] = True
             up[k] = i
+            base[k] = moves
             i = k
-            untried = rest[k] = iter(cand[k])
+            untried = rest[k] = iter(branches[k])
         else:
-            if ir or (
-                _table_stable(targets, pi)
-                if targets is not None
-                else is_stable(game, Matching._trusted(tuple(pi[1:])), concept)
+            if targets is not None and not _table_stable(targets, pi):
+                raise InternalCheckError("rule (e) kept a leaf with an open move")
+            if (
+                targets is not None
+                or ir
+                or is_stable(game, Matching._trusted(tuple(pi[1:])), concept)
             ):
                 count += 1
                 if found is None:
@@ -566,8 +592,8 @@ def _run_search(
                 decided[j] = False
                 pi[i] = i
                 pi[j] = j
-            elif clash[i]:
-                singles.remove(i)
+            else:
+                single ^= 1 << i
         # Take the current frame's next branch: a partner, then alone.  A
         # frame done with its last branch (j == i) hands over to the frame
         # above, which first undoes its own latest branch.
@@ -583,20 +609,23 @@ def _run_search(
                     decided[j] = False
                     pi[i] = i
                     pi[j] = j
-                elif clash[i]:
-                    singles.remove(i)
-            for j in untried:
-                if not decided[j] and decided[twin[j]]:
+                else:
+                    single ^= 1 << i
+            for j, mask in untried:
+                if not decided[j] and decided[twin[j]] and not mask & single:
                     decided[j] = True
                     pi[i] = j
                     pi[j] = i
+                    moves = base[i] | mask
                     break
             else:
                 j = i
-                if clash[i]:
-                    if not clash[i].isdisjoint(singles):
-                        continue
-                    singles.add(i)
+                mask = base[i] | alone[i]
+                bit = 1 << i
+                if mask & (single | bit):
+                    continue
+                single |= bit
+                moves = mask
             break
     return (Matching(found) if found is not None else None), count, False
 

@@ -227,6 +227,23 @@ def test_usage_errors(capsys, tmp_path):
     assert code == 2 and out == ""
 
 
+def test_gen_refuses_too_many_candidate_pairs(capsys, monkeypatch):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "gen", "roommate", "--n", "100000")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err == "error: 9999900000 candidate pairs exceed the limit of 10000000\n"
+    # Refused before random_game draws anything.
+    monkeypatch.setattr(cli, "random_game", None)
+    for argv in (("roommate", "--n", "3163"), ("marriage", "--men", "2237", "--women", "2237")):
+        code, out, _ = run(capsys, "gen", *argv)
+        assert code == 2 and out == "", argv
+    # A negative count still fails random_game's own check.
+    monkeypatch.undo()
+    code, _, err = run(capsys, "gen", "roommate", "--n", "-100000")
+    assert code == 2 and err == "error: player counts must be non-negative\n"
+
+
 @pytest.mark.parametrize(
     "header",
     ["marriage 2 1\n1: 2\n2:\n3:\n", "marriage 0 2\n1: 2\n2:\n"],

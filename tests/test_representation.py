@@ -148,7 +148,7 @@ def test_sparse_search_memory_is_linear():
     # A dense (n+1) x (n+1) rank table needs about 70 MB here.
     assert peak < 10 * 2**20
     # CNS builds the move-target table, one entry per player and rule-(b)
-    # neighbour, and runs rule (c) deep into the tree; an n x n table would
+    # neighbour, and runs rule (e) deep into the tree; an n x n table would
     # not fit.
     tracemalloc.start()
     try:

@@ -439,7 +439,7 @@ def _nodes_to_decide(game, concept, stop_after):
 
 
 def test_search_node_counts_are_pinned():
-    # Rules (b)-(d) only prune, so weakening one changes no result; it shows
+    # Rules (b)-(e) only prune, so weakening one changes no result; it shows
     # only as more nodes.  Each total covers seeds 0-39.
     games = [
         random_roommate(seed, max_n=7) if seed % 2 else random_marriage(seed, max_side=4)
@@ -454,13 +454,46 @@ def test_search_node_counts_are_pinned():
     }
     assert totals == {
         ("IR", None): 460, ("IR", 1): 156,
-        ("NS", None): 259, ("NS", 1): 224,
-        ("IS", None): 324, ("IS", 1): 168,
-        ("CNS", None): 660, ("CNS", 1): 159,
-        ("CIS", None): 781, ("CIS", 1): 155,
+        ("NS", None): 202, ("NS", 1): 171,
+        ("IS", None): 267, ("IS", 1): 162,
+        ("CNS", None): 582, ("CNS", 1): 150,
+        ("CIS", None): 724, ("CIS", 1): 148,
         ("CORE", None): 359, ("CORE", 1): 198,
         ("STRICT_CORE", None): 324, ("STRICT_CORE", 1): 219,
     }
+
+
+def test_forward_checking_agrees_with_the_naive_oracle():
+    # Rule (e) drops a branch once a decided player's move targets a decided
+    # single or going alone, so it must keep every stable leaf.  Lists with
+    # players tied with being alone or below it make the going-alone bit and
+    # the CNS/CIS veto matter.
+    rng = random.Random(15)
+    games = [random_listed_game(rng) for _ in range(400)]
+    games += [parse_instance(text) for text in RULE_B_EDGES]
+    for index, game in enumerate(games):
+        for concept in (Concept.NS, Concept.IS, Concept.CNS, Concept.CIS):
+            first, total = naive_stable_count(game, concept)
+            for stop_after in (None, 1, 2):
+                count = total if stop_after is None else min(total, stop_after)
+                exhausted = stop_after is None or total < stop_after
+                assert _run_search(game, concept, stop_after) == (
+                    first, count, exhausted
+                ), (index, concept, stop_after)
+
+
+def test_an_open_move_at_a_kept_leaf_is_an_internal_error(monkeypatch):
+    # The leaf check reads the move table itself, so masks that miss a move
+    # must not turn an unstable leaf into a stable matching.
+    table = solvers._target_table
+
+    def blind(game, concept, cand):
+        targets, alone, branches = table(game, concept, cand)
+        return targets, [0] * len(alone), [[(j, 0) for j, _ in row] for row in branches]
+
+    monkeypatch.setattr(solvers, "_target_table", blind)
+    with pytest.raises(InternalCheckError):
+        _run_search(parse_instance(CYCLIC3), Concept.IS)
 
 
 def test_move_targets_match_the_definitions():
@@ -481,7 +514,7 @@ def test_move_targets_match_the_definitions():
         for concept in (Concept.NS, Concept.IS, Concept.CNS, Concept.CIS):
             need_target = concept in (Concept.IS, Concept.CIS)
             need_left = concept in (Concept.CNS, Concept.CIS)
-            targets = _target_table(game, concept, every_pair)
+            targets, _, _ = _target_table(game, concept, every_pair)
             for _ in range(4):
                 matching = random_matching(game.n, rng)
                 partner_of = matching.as_tuple()
