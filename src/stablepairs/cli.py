@@ -24,7 +24,7 @@ from .model import (
     random_game,
     serialize_instance,
 )
-from .reductions import mmm_to_marriage_ns, mmm_to_roommate_is
+from .reductions import MAX_LIST_ENTRIES, mmm_to_marriage_ns, mmm_to_roommate_is
 from .solvers import (
     brute_force,
     compute_cis_ir,
@@ -277,11 +277,21 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     # random_game draws a number per candidate pair whatever --accept-prob
-    # is, so a huge request is refused before any draw.  Negative counts
-    # are left to random_game's own check.
+    # is, and lists each pair with that probability (surely under
+    # --complete), so a request too slow to draw or too large to hold is
+    # refused before any draw.  Negative counts are left to random_game's
+    # own check.
     pairs = args.n * (args.n - 1) if args.kind == ROOMMATE else 2 * args.men * args.women
-    if pairs > MAX_GEN_PAIRS and min(args.n, args.men, args.women) >= 0:
-        raise PreconditionError(f"{pairs} candidate pairs exceed the limit of {MAX_GEN_PAIRS}")
+    entries = pairs * (1.0 if args.complete else args.accept_prob)
+    if min(args.n, args.men, args.women) >= 0:
+        if pairs > MAX_GEN_PAIRS:
+            raise PreconditionError(
+                f"{pairs} candidate pairs exceed the limit of {MAX_GEN_PAIRS}"
+            )
+        if entries > MAX_LIST_ENTRIES:
+            raise PreconditionError(
+                f"{entries:.0f} expected list entries exceed the limit of {MAX_LIST_ENTRIES}"
+            )
     params = GenParams(
         kind=args.kind,
         n=args.n,

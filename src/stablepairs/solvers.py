@@ -69,6 +69,26 @@ so when it holds no stable matching its image holds none either.  Count mode
 stay exact.  This is the lex-leader rule of Crawford, Ginsberg, Luks & Roy,
 "Symmetry-breaking predicates for search problems" (KR 1996), restricted to
 transpositions.
+
+Count mode under NS, IS, CNS and CIS caches counted subtrees by their
+frontier, as #SAT counters cache components (Bacchus, Dalmao & Pitassi,
+FOCS 2003; Sang et al., SAT 2004).  Where frame ``k``, the lowest undecided
+player, would open, the key packs three masks into one int: ``dec``, the
+decided players, which fixes ``k``; ``moves & ~dec``; and ``single &
+reach[k]``, where ``reach[k]`` holds every target of a branch of a player
+``>= k``.  Nothing else is read below the node: decided players keep their
+partners, a decided single's bit of ``moves`` is clear, rule (e) tests a
+branch only against ``single`` over its targets and the undecided player's
+own bit of ``moves``, rule (d) is off, and every leaf reached is stable.
+So equal keys have equal stable counts.  A frame that runs out of branches
+stores its count; a hit adds it and counts as one node, and the first
+matching is unchanged, since a hit repeats a subtree searched earlier.
+The cache stores at most ``2**24 // max(3 * (n + 1), 256)`` keys of
+``3(n + 1)`` bits (65,536 up to 84 players); past that it only looks keys
+up, so counts stay exact.  Existence mode does not cache: on a benchmark
+NS cell a cache raised peak RSS by a quarter for 56 hits.  Nor does IR:
+on complete roommate games :func:`_count_matchings` counts 2-3 times
+faster than a cached search.
 """
 
 from __future__ import annotations
@@ -500,6 +520,12 @@ def _earlier_twins(game: Game) -> list[int]:
     return twin
 
 
+def _count_cache_cap(n: int) -> int:
+    """Most entries the count cache of an ``n``-player search stores: keys
+    of ``3(n + 1)`` bits, about 2 MiB of key bits in all."""
+    return 2**24 // max(3 * (n + 1), 256)
+
+
 def _run_search(
     game: Game,
     concept: Concept,
@@ -513,9 +539,10 @@ def _run_search(
     first in that order.  Returns ``(first stable matching or None, stable
     count, exhausted)``; ``exhausted`` is False when the search stopped
     early on ``stop_after`` or ``node_budget``.  Every visit to a search
-    position counts as one node, leaves included, so the budget counts the
-    search as rules (b)-(e) reduce it.  The recursion over players runs on
-    an explicit stack, so the depth is not limited by the interpreter's.
+    position counts as one node, leaves and count-cache hits included, so
+    the budget counts the search as rules (b)-(e) and the cache reduce it.
+    The recursion over players runs on an explicit stack, so the depth is
+    not limited by the interpreter's.
     Rules (b) and (c) come from :func:`_prune_tables` in O(n + L) time and
     memory for ``L`` listed entries, and rule (e) and deviation-concept
     leaves from :func:`_target_table`; the loop reads no rank outside the
@@ -537,6 +564,19 @@ def _run_search(
     # it, so j is the lowest one exactly when its earlier twin is decided.
     # Index 0 stands for "no earlier twin" and stays decided.
     twin = _earlier_twins(game) if stop_after == 1 else [0] * (n + 1)
+    # The count cache maps a frontier key to the stable count below it (see
+    # the module docstring).  reach[k] holds every target that a branch of a
+    # player >= k tests against ``single``.  frame[k] holds the mask of the
+    # players decided once frame k opened, its key, and the count on entry.
+    memo = {} if stop_after is None and targets is not None else None
+    if memo is not None:
+        cap = _count_cache_cap(n)
+        reach = [0] * (n + 2)
+        for q in range(n, 0, -1):
+            reach[q] = reach[q + 1] | alone[q]
+            for _, mask in branches[q]:
+                reach[q] |= mask
+        frame: list = [(1, 0, 0)] * (n + 1)
 
     pi = list(range(n + 1))
     decided = [True] + [False] * n
@@ -568,16 +608,25 @@ def _run_search(
         k = i + 1
         while k <= n and decided[k]:
             k += 1
-        if k <= n:
+        hit = None
+        if memo is not None and k <= n:
+            dec = frame[i][0] | 1 << j
+            key = ((single & reach[k]) << n + 1 | moves & ~dec) << n + 1 | dec
+            hit = memo.get(key)
+        if k <= n and hit is None:
             decided[k] = True
             up[k] = i
             base[k] = moves
             i = k
             untried = rest[k] = iter(branches[k])
+            if memo is not None:
+                frame[k] = (dec | 1 << k, key, count)
         else:
-            if targets is not None and not _table_stable(targets, pi):
+            if hit is not None:
+                count += hit
+            elif targets is not None and not _table_stable(targets, pi):
                 raise InternalCheckError("rule (e) kept a leaf with an open move")
-            if (
+            elif (
                 targets is not None
                 or ir
                 or is_stable(game, Matching._trusted(tuple(pi[1:])), concept)
@@ -587,7 +636,7 @@ def _run_search(
                     found = tuple(pi[1:])
                 if stop_after is not None and count >= stop_after:
                     break
-            # Undo the branch that led to this leaf.
+            # Undo the branch that led to this leaf or cached subtree.
             if j != i:
                 decided[j] = False
                 pi[i] = i
@@ -600,6 +649,9 @@ def _run_search(
         while True:
             while j == i:
                 decided[i] = False
+                if memo is not None and len(memo) < cap:
+                    _, key, before = frame[i]
+                    memo[key] = count - before
                 i = up[i]
                 if not i:
                     return (Matching(found) if found is not None else None), count, True

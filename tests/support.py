@@ -212,11 +212,16 @@ def random_listed_game(rng: random.Random) -> Game:
     return parse_instance("\n".join(lines) + "\n")
 
 
-def naive_stable_count(game: Game, concept: Concept) -> tuple[Matching | None, int]:
-    """Filter the full unrestricted enumeration through the verifier."""
+def naive_stable_count(
+    game: Game, concept: Concept, matchings: Iterable[Matching] | None = None
+) -> tuple[Matching | None, int]:
+    """Filter the full unrestricted enumeration through the verifier.
+
+    ``matchings``, when given, is that enumeration, listed once for a game
+    checked under several concepts."""
     first = None
     count = 0
-    for m in enumerate_matchings(game.n):
+    for m in enumerate_matchings(game.n) if matchings is None else matchings:
         if is_stable(game, m, concept):
             count += 1
             if first is None:

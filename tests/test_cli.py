@@ -6,9 +6,11 @@ import time
 
 import pytest
 
-from stablepairs import InternalCheckError, cli
+from stablepairs import InternalCheckError, cli, parse_instance
 from stablepairs.cli import main
 from support import CYCLIC3
+
+EMPTY_GAME = parse_instance("roommate 0\n")
 
 
 @pytest.fixture
@@ -242,6 +244,31 @@ def test_gen_refuses_too_many_candidate_pairs(capsys, monkeypatch):
     monkeypatch.undo()
     code, _, err = run(capsys, "gen", "roommate", "--n", "-100000")
     assert code == 2 and err == "error: player counts must be non-negative\n"
+
+
+def test_gen_refuses_too_many_expected_list_entries(capsys, monkeypatch):
+    # Each candidate pair is listed with probability --accept-prob, surely
+    # under --complete; above reduce's entry limit, nothing is drawn.
+    monkeypatch.setattr(cli, "random_game", None)
+    code, out, err = run(capsys, "gen", "roommate", "--n", "1415")
+    assert code == 2 and out == ""
+    assert err == "error: 2000810 expected list entries exceed the limit of 2000000\n"
+    for argv in (
+        ("roommate", "--n", "2000", "--accept-prob", "0.6"),
+        ("marriage", "--men", "1000", "--women", "1001", "--complete", "--accept-prob", "0.1"),
+    ):
+        code, out, _ = run(capsys, "gen", *argv)
+        assert code == 2 and out == "", argv
+    drawn = []
+    monkeypatch.setattr(cli, "random_game", lambda params: drawn.append(params) or EMPTY_GAME)
+    for argv in (
+        ("roommate", "--n", "1414"),  # 1,997,982 entries
+        ("roommate", "--n", "3000", "--accept-prob", "0.001"),
+        ("marriage", "--men", "300", "--women", "300", "--complete"),
+    ):
+        code, _, _ = run(capsys, "gen", *argv)
+        assert code == 0, argv
+    assert len(drawn) == 3
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,12 @@ tests bound the peak of generating, parsing and solving a dense game.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from functools import cache
+from pathlib import Path
 
 from stablepairs import (
     Concept,
@@ -30,6 +35,7 @@ from stablepairs import (
     random_game,
     serialize_instance,
 )
+from stablepairs.solvers import _count_cache_cap, _run_search
 from support import (
     SMALL_GRAPHS,
     definitional_accepts,
@@ -39,6 +45,8 @@ from support import (
     random_roommate,
     search_status,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def check_list(pl: PreferenceList, n: int) -> None:
@@ -132,12 +140,17 @@ def test_sparse_10k_roommate_memory_is_linear():
     assert peak < 25 * 2**20
 
 
-def test_sparse_search_memory_is_linear():
-    # 3000 players, 8,975 listed entries.  Generating the game draws n^2
-    # random numbers, so it stays outside the measured window.
-    game = random_game(
+@cache
+def sparse_3000() -> Game:
+    """3000 players, 8,975 listed entries.  Generating the game draws n^2
+    random numbers, so it stays outside the measured windows."""
+    return random_game(
         GenParams(kind="roommate", n=3000, acceptability_probability=0.001, seed=1)
     )
+
+
+def test_sparse_search_memory_is_linear():
+    game = sparse_3000()
     tracemalloc.start()
     try:
         found, count = brute_force(game, Concept.IR, cap=5000, stop_after=1)
@@ -157,6 +170,41 @@ def test_sparse_search_memory_is_linear():
     finally:
         tracemalloc.stop()
     assert status == "budget"
+    assert peak < 10 * 2**20
+
+
+def test_count_cache_memory_is_capped():
+    # This CNS count fills the cache's cap of 65,536 keys of 57 bits after
+    # 226,369 of its 323,803 nodes, and past the cap only looks keys up.
+    # Under tracemalloc it runs about 40 times slower, so its peak is read
+    # as the growth of a fresh interpreter's peak RSS (5.2 MiB).
+    probe = (
+        "import resource\n"
+        "from stablepairs import Concept, GenParams, random_game\n"
+        "from stablepairs.solvers import _run_search\n"
+        "game = random_game(GenParams(kind='roommate', n=18, tie_probability=0.3,"
+        " acceptability_probability=0.4, seed=4))\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "_, count, exhausted = _run_search(game, Concept.CNS)\n"
+        "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "print(count, exhausted, (after - before) * 1024)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    count, exhausted, grown = out.stdout.split()
+    assert (count, exhausted) == ("797554", "True")
+    assert int(grown) < 8 * 2**20
+    # On the sparse game a key has 9,003 bits, and the cap is 1,863 keys.
+    game = sparse_3000()
+    assert _count_cache_cap(game.n) == 1_863
+    tracemalloc.start()
+    try:
+        _, _, exhausted = _run_search(game, Concept.CNS, node_budget=5_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not exhausted
     assert peak < 10 * 2**20
 
 

@@ -439,8 +439,9 @@ def _nodes_to_decide(game, concept, stop_after):
 
 
 def test_search_node_counts_are_pinned():
-    # Rules (b)-(e) only prune, so weakening one changes no result; it shows
-    # only as more nodes.  Each total covers seeds 0-39.
+    # Rules (b)-(e) only prune, and the count cache only skips subtrees it
+    # has counted, so weakening either changes no result; it shows only as
+    # more nodes.  Each total covers seeds 0-39.
     games = [
         random_roommate(seed, max_n=7) if seed % 2 else random_marriage(seed, max_side=4)
         for seed in range(40)
@@ -454,10 +455,10 @@ def test_search_node_counts_are_pinned():
     }
     assert totals == {
         ("IR", None): 460, ("IR", 1): 156,
-        ("NS", None): 202, ("NS", 1): 171,
-        ("IS", None): 267, ("IS", 1): 162,
-        ("CNS", None): 582, ("CNS", 1): 150,
-        ("CIS", None): 724, ("CIS", 1): 148,
+        ("NS", None): 200, ("NS", 1): 171,
+        ("IS", None): 259, ("IS", 1): 162,
+        ("CNS", None): 525, ("CNS", 1): 150,
+        ("CIS", None): 594, ("CIS", 1): 148,
         ("CORE", None): 359, ("CORE", 1): 198,
         ("STRICT_CORE", None): 324, ("STRICT_CORE", 1): 219,
     }
@@ -480,6 +481,39 @@ def test_forward_checking_agrees_with_the_naive_oracle():
                 assert _run_search(game, concept, stop_after) == (
                     first, count, exhausted
                 ), (index, concept, stop_after)
+
+
+def test_count_cache_agrees_with_the_naive_oracle():
+    # A cache hit adds a subtree's stored count as one node, so a search
+    # decided within fewer nodes than its count, that is, a count above
+    # _nodes_to_decide, shows that the cache fired.  Complete games of odd
+    # size, where one player stays single, make it fire most.  A budgeted
+    # run visits a prefix of the unbudgeted one, so once decided it must
+    # give the same result.
+    rng = random.Random(17)
+    games = [random_listed_game(rng) for _ in range(288)]
+    games += [
+        random_roommate(seed, max_n=10) if seed % 2 else random_marriage(seed, max_side=5)
+        for seed in range(60)
+    ]
+    games += [
+        random_game(GenParams(kind="roommate", n=9, complete=True, seed=seed))
+        for seed in range(52)
+    ]
+    fired = 0
+    for index, game in enumerate(games):
+        matchings = list(enumerate_matchings(game.n))
+        hit = False
+        for concept in (Concept.NS, Concept.IS, Concept.CNS, Concept.CIS):
+            first, total = naive_stable_count(game, concept, matchings)
+            assert _run_search(game, concept) == (first, total, True), (index, concept)
+            for budget in (1, 7, 50, total - 1):
+                found, count, exhausted = _run_search(game, concept, None, budget)
+                if exhausted:
+                    assert (found, count) == (first, total), (index, concept, budget)
+            hit |= exhausted  # within total - 1 nodes
+        fired += hit
+    assert fired >= 50
 
 
 def test_an_open_move_at_a_kept_leaf_is_an_internal_error(monkeypatch):
