@@ -239,7 +239,7 @@ def _cmd_dynamics(args: argparse.Namespace) -> int:
     else:
         initial = parse_matching(_read(args.start), game)
     trace = run_dynamics(game, concept, initial, args.max_steps)
-    for step, (_matching, witness) in enumerate(trace.steps, 1):
+    for step, witness in enumerate(trace.steps, 1):
         print(f"STEP {step} {_witness_line(witness)}")
     total = len(trace.steps)
     if trace.outcome == "stable":

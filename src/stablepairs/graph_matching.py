@@ -99,8 +99,12 @@ def max_matching(g: Graph) -> frozenset[Edge]:
     Augmenting-path search from each exposed vertex with blossom contraction
     via base pointers, O(n) phases of O(n^2) work each.
     """
-    n = g.n
-    adj = g.adjacency()
+    match = _max_matching(g.n, g.adjacency())
+    return frozenset((v, u) for v, u in enumerate(match) if v < u)
+
+
+def _max_matching(n: int, adj: list[list[int]]) -> list[int]:
+    """:func:`max_matching` on sorted adjacency lists, as ``match[v]`` (0: exposed)."""
     match = [0] * (n + 1)
     parent = [0] * (n + 1)
     base = list(range(n + 1))
@@ -128,9 +132,8 @@ def max_matching(g: Graph) -> frozenset[Edge]:
             v = parent[match[v]]
 
     def find_augmenting_path(root: int) -> int:
-        for v in range(n + 1):
-            parent[v] = 0
-            base[v] = v
+        parent[:] = [0] * (n + 1)
+        base[:] = range(n + 1)
         used = [False] * (n + 1)
         used[root] = True
         queue = deque([root])
@@ -175,7 +178,7 @@ def max_matching(g: Graph) -> frozenset[Edge]:
                 match[end] = prev
                 match[prev] = end
                 end = nxt
-    return frozenset((v, match[v]) for v in range(1, n + 1) if v < match[v])
+    return match
 
 
 def minimum_maximal_matching(g: Graph, cap: int = 20) -> int:

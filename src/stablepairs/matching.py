@@ -81,7 +81,7 @@ class Matching:
                 raise ValueError(f"target {target} is not single")
             p[mover - 1] = target
             p[target - 1] = mover
-        return Matching(p)
+        return Matching._trusted(tuple(p))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Matching) and self._partner == other._partner

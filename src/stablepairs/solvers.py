@@ -47,11 +47,10 @@ leaf reached is then stable, and the table check there is kept as an
 player's partner, not only on who is single.  IR leaves need no test: under
 IR, rule (b) admits only mutually acceptable pairs, and a single player is
 always individually rational.  So every leaf is stable, and
-:func:`brute_force` counts IR matchings without visiting them: a dynamic
-program over players in id order (:func:`_count_matchings`) counts the
-matchings of the rule-(b) graph, keyed by which later players are already
-taken.  Counting matchings is #P-complete in general (Valiant, SIAM
-J. Comput. 1979), but the taken-sets are far fewer than the matchings.
+:func:`brute_force` counts IR matchings without visiting them, by a dynamic
+program over the rule-(b) graph (:func:`_count_matchings`).  Counting
+matchings is #P-complete in general (Valiant, SIAM J. Comput. 1979), but
+its taken-player sets are far fewer than the matchings.
 
 In existence mode (``stop_after == 1``) it also applies (d), symmetry:
 player ``i`` is paired only with the lowest-id undecided member of each
@@ -83,12 +82,9 @@ own bit of ``moves``, rule (d) is off, and every leaf reached is stable.
 So equal keys have equal stable counts.  A frame that runs out of branches
 stores its count; a hit adds it and counts as one node, and the first
 matching is unchanged, since a hit repeats a subtree searched earlier.
-The cache stores at most ``2**24 // max(3 * (n + 1), 256)`` keys of
-``3(n + 1)`` bits (65,536 up to 84 players); past that it only looks keys
-up, so counts stay exact.  Existence mode does not cache: on a benchmark
-NS cell a cache raised peak RSS by a quarter for 56 hits.  Nor does IR:
-on complete roommate games :func:`_count_matchings` counts 2-3 times
-faster than a cached search.
+Past :func:`_count_cache_cap` keys the cache only looks keys up, so counts
+stay exact.  Existence mode does not cache, as it would hold more memory for
+few hits; nor does IR, which :func:`_count_matchings` counts faster.
 """
 
 from __future__ import annotations
@@ -100,7 +96,7 @@ from itertools import chain, tee
 from operator import eq
 
 from .errors import InternalCheckError, PreconditionError
-from .graph_matching import Graph, max_matching
+from .graph_matching import _max_matching
 from .matching import Matching
 from .model import MARRIAGE, ROOMMATE, Game, has_no_unacceptability
 from .stability import (
@@ -125,8 +121,8 @@ class SolverReport(namedtuple("SolverReport", "matching deviation_count elapsed"
 class DynamicsTrace(
     namedtuple("DynamicsTrace", "steps outcome final cycle_start", defaults=(None,))
 ):
-    """A better-response run: ``steps[t]`` is the matching at time ``t`` and
-    the witness applied to it.  ``outcome`` is ``"stable"``, ``"cycle"`` or
+    """A better-response run: ``steps`` are the witnesses applied, in order,
+    from the start.  ``outcome`` is ``"stable"``, ``"cycle"`` or
     ``"step-limit"``, and ``final`` the last matching.  ``cycle_start``
     indexes the first occurrence of the repeated matching when the outcome is
     ``"cycle"``."""
@@ -145,13 +141,13 @@ def _listers(game: Game) -> list[list[int]]:
 
 def _moves(
     game: Game, concept: Concept, partner: list[int]
-) -> Iterator[tuple[int, int]]:
+) -> Iterator[tuple[int, int, int]]:
     """Apply the deviation scheduler's moves to ``partner`` in place, yielding each.
 
-    ``partner[j - 1]`` is player ``j``'s partner.  A move ``(mover, target)``
-    is applied before it is yielded; ``target == mover`` means going alone.
-    The run ends when no player can deviate, which one full
-    :func:`find_deviation` then confirms.
+    ``partner[j - 1]`` is player ``j``'s partner.  A move ``(mover, old,
+    target)`` is applied before it is yielded; ``old`` was the mover's
+    partner, and ``target == mover`` means going alone.  One full
+    :func:`find_deviation` confirms the end.
     """
     profile = game.profile
     need_target, need_left = _consent(concept)
@@ -178,7 +174,7 @@ def _moves(
                     dirty[k] = 1
                 if listers[freed] and listers[freed][0] < lo:
                     lo = listers[freed][0]
-        yield i, target
+        yield i, old, target
     if find_deviation(game, Matching._trusted(tuple(partner)), concept) is not None:
         raise InternalCheckError(
             f"better-response run stopped at a matching that is not {concept.name}-stable"
@@ -327,33 +323,26 @@ def exists_ns_is_roommate_complete(game: Game) -> Matching | None:
             "exists_ns_is_roommate_complete requires complete preference lists"
         )
     n = game.n
-    if n == 0:
-        return Matching(())
     if n % 2 == 0:
-        partner = [i + 1 if i % 2 else i - 1 for i in range(1, n + 1)]
-        result = Matching(partner)
+        result = Matching(i + 1 if i % 2 else i - 1 for i in range(1, n + 1))
         _assert_ns(game, result)
         return result
     profile = game.profile
     for single in game.players():
-        # Complete lists rank everyone, so every ranks lookup below hits.
-        # The graph keeps the game's ids; ``single`` gets no edges.
-        limit = [0] + [pl.ranks.get(single, 0) for pl in profile]
-        edges = []
-        for pj in profile:
-            j = pj.owner
-            if j == single:
-                continue
-            for k in pj.up_to(limit[j]):
-                if k > j and k != single and profile[k - 1].ranks[j] <= limit[k]:
-                    edges.append((j, k))
-        candidate = max_matching(Graph.build(n, edges))
-        if 2 * len(candidate) == n - 1:
-            partner = list(range(n + 1))
-            for u, v in candidate:
-                partner[u] = v
-                partner[v] = u
-            result = Matching(partner[1:])
+        # Complete lists rank everyone but the owner: every ranks lookup
+        # below hits, and a limit of -1 gives ``single`` no edges.  Ascending
+        # owners and neighbours keep each adjacency list sorted.
+        limit = [0] + [pl.ranks.get(single, -1) for pl in profile]
+        adj: list[list[int]] = [[] for _ in range(n + 1)]
+        for j, pj in enumerate(profile, 1):
+            for k in sorted(pj.up_to(limit[j])):
+                if k > j and profile[k - 1].ranks[j] <= limit[k]:
+                    adj[j].append(k)
+                    adj[k].append(j)
+        match = _max_matching(n, adj)
+        if match.count(0) == 2:  # index 0 and ``single`` alone are unmatched
+            match[single] = single
+            result = Matching(match[1:])
             _assert_ns(game, result)
             return result
     return None
@@ -543,11 +532,6 @@ def _run_search(
     the budget counts the search as rules (b)-(e) and the cache reduce it.
     The recursion over players runs on an explicit stack, so the depth is
     not limited by the interpreter's.
-    Rules (b) and (c) come from :func:`_prune_tables` in O(n + L) time and
-    memory for ``L`` listed entries, and rule (e) and deviation-concept
-    leaves from :func:`_target_table`; the loop reads no rank outside the
-    core and strict-core leaf tests.  Rules (c) and (e) cost a branch O(1)
-    operations on n-bit ints.
     """
     n = game.n
     # Each branch adds a mask of players who must not be single: alone[i]
@@ -725,9 +709,7 @@ def brute_force(
 
     With ``stop_after`` the search stops once that many stable matchings have
     been seen, so the returned count is ``min(true count, stop_after)``.
-    The full IR count comes from :func:`_count_matchings`, and its first
-    matching from the existence search.  Refuses games with more than
-    ``cap`` players.
+    Refuses games with more than ``cap`` players.
     """
     if game.n > cap:
         raise PreconditionError(
@@ -742,13 +724,21 @@ def brute_force(
     return found, count
 
 
+def _zobrist(player: int, partner: int) -> int:
+    """The key of ``player`` paired with ``partner`` (itself when single)."""
+    return hash((player, partner))
+
+
 def run_dynamics(
     game: Game, concept: Concept, initial: Matching, max_steps: int
 ) -> DynamicsTrace:
     """Iterate the deterministic deviation scheduler and watch for cycles.
 
     Stops at a stable matching, at the first repeated matching, or after
-    ``max_steps`` deviations; the recorded witnesses replay exactly.
+    ``max_steps`` deviations; the recorded witnesses replay exactly.  Memory
+    is O(n + steps): per step, a witness and a Zobrist hash of the matching
+    (Zobrist 1970), updated in O(1) per move.  A repeated hash is confirmed
+    by replaying from ``initial``, so no collision fakes or hides a cycle.
     """
     if concept not in DEVIATION_CONCEPTS:
         raise ValueError(f"{concept} is not a single-player deviation concept")
@@ -756,18 +746,25 @@ def run_dynamics(
         raise ValueError("initial matching does not fit the game")
     if max_steps < 0:
         raise ValueError("max_steps must be non-negative")
-    current = initial
     partner = list(initial.as_tuple())
-    seen = {initial.as_tuple(): 0}
-    steps: list[tuple[Matching, DeviationWitness]] = []
-    for mover, target in _moves(game, concept, partner):
-        if len(steps) >= max_steps:
-            return DynamicsTrace(tuple(steps), "step-limit", current)
-        witness = DeviationWitness(mover, None if target == mover else target, concept)
-        steps.append((current, witness))
-        key = tuple(partner)
-        current = Matching._trusted(key)
-        if key in seen:
-            return DynamicsTrace(tuple(steps), "cycle", current, cycle_start=seen[key])
-        seen[key] = len(steps)
-    return DynamicsTrace(tuple(steps), "stable", current)
+    code = 0  # the hash of the current matching, XOR that of ``initial``
+    seen = {code}
+    witnesses: list[DeviationWitness] = []
+    for mover, old, target in _moves(game, concept, partner):
+        # The players the move changed, with their partners before it.
+        before = {target: target, old: mover, mover: old}
+        if len(witnesses) >= max_steps:
+            for player, mate in before.items():
+                partner[player - 1] = mate
+            return DynamicsTrace(tuple(witnesses), "step-limit", Matching._trusted(tuple(partner)))
+        witnesses.append(DeviationWitness(mover, None if target == mover else target, concept))
+        for player, mate in before.items():
+            code ^= _zobrist(player, mate) ^ _zobrist(player, partner[player - 1])
+        if code in seen:
+            now, replay = Matching._trusted(tuple(partner)), initial
+            for t, witness in enumerate(witnesses):
+                if replay == now:
+                    return DynamicsTrace(tuple(witnesses), "cycle", now, t)
+                replay = replay.with_move(witness.mover, witness.target)
+        seen.add(code)
+    return DynamicsTrace(tuple(witnesses), "stable", Matching._trusted(tuple(partner)))

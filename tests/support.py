@@ -232,7 +232,8 @@ def naive_stable_count(
 def full_scan_dynamics(
     game: Game, concept: Concept, start: Matching, max_steps: int
 ) -> DynamicsTrace:
-    """Better-response dynamics that rescan every player after every move."""
+    """Better-response dynamics that rescan every player after every move and
+    keep every matching visited; the trace holds the witnesses only."""
     current = start
     seen = {start: 0}
     steps = []
@@ -242,11 +243,20 @@ def full_scan_dynamics(
             return DynamicsTrace(tuple(steps), "stable", current)
         if len(steps) >= max_steps:
             return DynamicsTrace(tuple(steps), "step-limit", current)
-        steps.append((current, witness))
+        steps.append(witness)
         current = current.with_move(witness.mover, witness.target)
         if current in seen:
             return DynamicsTrace(tuple(steps), "cycle", current, cycle_start=seen[current])
         seen[current] = len(steps)
+
+
+def replay_dynamics(start: Matching, trace: DynamicsTrace) -> list[Matching]:
+    """The matchings at times ``0..len(trace.steps)``, replayed from ``start``
+    by :meth:`Matching.with_move`."""
+    visited = [start]
+    for witness in trace.steps:
+        visited.append(visited[-1].with_move(witness.mover, witness.target))
+    return visited
 
 
 def exhaustive_max_matching_size(g: Graph) -> int:

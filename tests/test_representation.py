@@ -26,6 +26,7 @@ from stablepairs import (
     PreferenceList,
     brute_force,
     compute_is_marriage,
+    exists_ns_is_roommate_complete,
     find_deviation,
     has_no_unacceptability,
     is_individually_rational,
@@ -162,10 +163,11 @@ def test_sparse_search_memory_is_linear():
     assert peak < 10 * 2**20
     # CNS builds the move-target table, one entry per player and rule-(b)
     # neighbour, and runs rule (e) deep into the tree; an n x n table would
-    # not fit.
+    # not fit.  The peak (6.1 MiB) is the same at 20,000 nodes as at
+    # 200,000, which take about 10 s under tracemalloc.
     tracemalloc.start()
     try:
-        status, _ = search_status(game, Concept.CNS, node_budget=200_000)
+        status, _ = search_status(game, Concept.CNS, node_budget=20_000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -173,26 +175,42 @@ def test_sparse_search_memory_is_linear():
     assert peak < 10 * 2**20
 
 
+PEAK = """
+def peak():
+    with open("/proc/self/status") as status:
+        return next(1024 * int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+"""
+
+
+def peak_rss_probe(probe: str) -> list[str]:
+    """Run ``probe`` in a fresh interpreter and return the words it prints.
+
+    The probe may call ``peak()``, the interpreter's peak resident set in
+    bytes (``VmHWM``).  A child's ``ru_maxrss`` starts at its spawner's peak,
+    so under a test runner larger than the child it would read no growth.
+    """
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run(
+        [sys.executable, "-c", PEAK + probe], env=env, capture_output=True, text=True
+    )
+    assert out.returncode == 0, out.stderr
+    return out.stdout.split()
+
+
 def test_count_cache_memory_is_capped():
     # This CNS count fills the cache's cap of 65,536 keys of 57 bits after
     # 226,369 of its 323,803 nodes, and past the cap only looks keys up.
     # Under tracemalloc it runs about 40 times slower, so its peak is read
-    # as the growth of a fresh interpreter's peak RSS (5.2 MiB).
-    probe = (
-        "import resource\n"
+    # as the growth of a fresh interpreter's peak RSS (4.6 MiB).
+    count, exhausted, grown = peak_rss_probe(
         "from stablepairs import Concept, GenParams, random_game\n"
         "from stablepairs.solvers import _run_search\n"
         "game = random_game(GenParams(kind='roommate', n=18, tie_probability=0.3,"
         " acceptability_probability=0.4, seed=4))\n"
-        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "before = peak()\n"
         "_, count, exhausted = _run_search(game, Concept.CNS)\n"
-        "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-        "print(count, exhausted, (after - before) * 1024)\n"
+        "print(count, exhausted, peak() - before)\n"
     )
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
-    assert out.returncode == 0, out.stderr
-    count, exhausted, grown = out.stdout.split()
     assert (count, exhausted) == ("797554", "True")
     assert int(grown) < 8 * 2**20
     # On the sparse game a key has 9,003 bits, and the cap is 1,863 keys.
@@ -206,6 +224,43 @@ def test_count_cache_memory_is_capped():
         tracemalloc.stop()
     assert not exhausted
     assert peak < 10 * 2**20
+
+
+CHAIN_AND_CYCLE = r"""
+from stablepairs import Concept, Matching, parse_instance, run_dynamics
+m = 1000
+lines = [f"{i}: {i + 1 if i % 2 else i - 1}" for i in range(1, 2 * m + 1)]
+lines += [f"{2 * m + a}: {2 * m + b} {2 * m + c}" for a, b, c in ((1, 2, 3), (2, 3, 1), (3, 1, 2))]
+game = parse_instance(f"roommate {2 * m + 3}\n" + "\n".join(lines) + "\n")
+before = peak()
+trace = run_dynamics(game, Concept.NS, Matching.singletons(game.n), 5000)
+print(trace.outcome, len(trace.steps), trace.cycle_start, peak() - before)
+"""
+
+
+def test_cycling_dynamics_memory():
+    # 1,000 pairs of mutual favourites, then a 3-cycle: NS dynamics from
+    # singletons pair them in 1,000 steps, then cycle after 4 more.  Keeping
+    # each step's 2,003-player matching would grow the peak by about 16 MiB.
+    outcome, steps, start, grown = peak_rss_probe(CHAIN_AND_CYCLE)
+    assert (outcome, steps, start) == ("cycle", "1004", "1001")
+    assert int(grown) < 2 * 2**20
+
+
+def test_complete_roommate_decision_memory():
+    # Candidates 1-4 fail and 5 succeeds, with 4,051-5,585 edges each.  An
+    # edge list, set and sorted list per candidate held about 1.4 MiB.
+    game = random_game(
+        GenParams(kind="roommate", n=201, complete=True, tie_probability=0.3, seed=0)
+    )
+    tracemalloc.start()
+    try:
+        result = exists_ns_is_roommate_complete(game)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result is not None and result.partner_of(5) == 5
+    assert peak < 2**19
 
 
 def test_ir_count_memory():

@@ -31,7 +31,7 @@ from stablepairs import (
     run_dynamics,
     serialize_instance,
 )
-from stablepairs import solvers
+from stablepairs import Graph, max_matching, solvers
 from stablepairs.model import GenParams
 from stablepairs.solvers import _earlier_twins, _run_search, _table_stable, _target_table
 from stablepairs.stability import _player_deviation
@@ -48,6 +48,7 @@ from support import (
     random_marriage,
     random_matching,
     random_roommate,
+    replay_dynamics,
     search_status,
     singles_of,
 )
@@ -237,6 +238,8 @@ def test_exists_ns_small_cases():
     pair = parse_instance("roommate 2\n1: 2\n2: 1\n")
     assert pairs_of(exists_ns_is_roommate_complete(pair)) == [(1, 2)]
 
+    assert exists_ns_is_roommate_complete(parse_instance("roommate 0\n")) == Matching(())
+
     lone = parse_instance("roommate 1\n1:\n")
     assert exists_ns_is_roommate_complete(lone) == Matching.singletons(1)
 
@@ -264,6 +267,35 @@ def test_exists_ns_agrees_with_brute_force_on_odd_complete_games():
         assert (poly is not None) == (found is not None)
         if poly is not None:
             assert find_deviation(game, poly, Concept.NS) is None
+
+
+def test_exists_ns_takes_max_matching_on_each_candidate_graph():
+    # The decision builds each candidate's adjacency lists itself; its answer
+    # must be the first candidate's perfect matching that max_matching finds
+    # on the same graph given as an edge set, single for single and pair for
+    # pair, since the blossom search's result depends on adjacency order.
+    for seed in range(30):
+        n = random.Random(seed).choice([9, 15, 21, 31])
+        game = random_game(GenParams(kind="roommate", n=n, tie_probability=0.4,
+                                     complete=True, seed=seed))
+        rank = [None] + [game.prefs(j).rank_of for j in game.players()]
+        expected = None
+        for single in game.players():
+            edges = [
+                (j, k)
+                for j in game.players()
+                for k in range(j + 1, n + 1)
+                if single not in (j, k)
+                and rank[j](k) <= rank[j](single) and rank[k](j) <= rank[k](single)
+            ]
+            pairs = max_matching(Graph.build(n, edges))
+            if 2 * len(pairs) == n - 1:
+                partner = list(range(n + 1))
+                for u, v in pairs:
+                    partner[u], partner[v] = v, u
+                expected = Matching(partner[1:])
+                break
+        assert exists_ns_is_roommate_complete(game) == expected, seed
 
 
 def test_exists_ns_rejects_incomplete_or_marriage():
@@ -587,8 +619,10 @@ def test_dynamics_cyclic3_is_cycles_quickly():
 
 def test_dynamics_step_limit():
     game = parse_instance(CYCLIC3)
-    trace = run_dynamics(game, Concept.IS, Matching.singletons(3), 2)
+    start = Matching.singletons(3)
+    trace = run_dynamics(game, Concept.IS, start, 2)
     assert trace.outcome == "step-limit" and len(trace.steps) == 2
+    assert trace.final == replay_dynamics(start, trace)[-1]
 
 
 def test_dynamics_traces_replay_exactly():
@@ -597,15 +631,16 @@ def test_dynamics_traces_replay_exactly():
         start = random_matching(game.n, random.Random(seed + 1))
         concept = [Concept.NS, Concept.IS, Concept.CNS, Concept.CIS][seed % 4]
         trace = run_dynamics(game, concept, start, 200)
-        current = start
-        for recorded, witness in trace.steps:
-            assert recorded == current
-            current = current.with_move(witness.mover, witness.target)
+        visited = replay_dynamics(start, trace)
+        for recorded, witness in zip(visited, trace.steps):
+            assert find_deviation(game, recorded, concept) == witness
+        current = visited[-1]
         assert current == trace.final or trace.outcome == "cycle"
         if trace.outcome == "stable":
             assert find_deviation(game, trace.final, concept) is None
         if trace.outcome == "cycle":
             assert current == trace.final
+            assert visited.index(current) == trace.cycle_start
 
 
 def test_dynamics_cns_from_singletons_terminates():
@@ -616,12 +651,12 @@ def test_dynamics_cns_from_singletons_terminates():
         assert len(trace.steps) <= 2 * game.n * game.n
 
 
-def test_incremental_dynamics_match_full_scan():
-    # Random starts on seeded games; the reference rescans every player after
-    # every move.  Moves in which a paired mover goes alone leave two players
-    # single, and the corpus must keep plenty of them.
-    concepts = (Concept.NS, Concept.IS, Concept.CNS, Concept.CIS)
-    paired_alone = 0
+DYNAMICS_CONCEPTS = (Concept.NS, Concept.IS, Concept.CNS, Concept.CIS)
+
+
+def dynamics_corpus():
+    """1000 seeded games, half roommate and half marriage, each with a random
+    start matching."""
     for seed in range(1000):
         rng = random.Random(seed)
         tie, accept = rng.random(), 0.2 + 0.8 * rng.random()
@@ -632,14 +667,26 @@ def test_incremental_dynamics_match_full_scan():
         game = random_game(params._replace(
             tie_probability=tie, acceptability_probability=accept, seed=seed
         ))
-        start = random_matching(game.n, rng)
-        for concept in concepts:
+        yield seed, game, random_matching(game.n, rng)
+
+
+def test_incremental_dynamics_match_full_scan():
+    # Random starts on seeded games; the reference rescans every player after
+    # every move.  Moves in which a paired mover goes alone leave two players
+    # single, and the corpus must keep plenty of them.  A limit of 0-4 steps
+    # ends most runs early, after the engine has applied the move past it.
+    paired_alone = limited = 0
+    for seed, game, start in dynamics_corpus():
+        for concept in DYNAMICS_CONCEPTS:
             expected = full_scan_dynamics(game, concept, start, 60)
             assert run_dynamics(game, concept, start, 60) == expected, (seed, concept)
             paired_alone += sum(
                 w.target is None and m.partner_of(w.mover) != w.mover
-                for m, w in expected.steps
+                for m, w in zip(replay_dynamics(start, expected), expected.steps)
             )
+            expected = full_scan_dynamics(game, concept, start, seed % 5)
+            assert run_dynamics(game, concept, start, seed % 5) == expected, (seed, concept)
+            limited += expected.outcome == "step-limit"
         singletons = Matching.singletons(game.n)
         for solve, concept in ((compute_cns, Concept.CNS), (compute_cis_ir, Concept.CIS)):
             expected = full_scan_dynamics(game, concept, singletons, 2 * game.n * game.n)
@@ -647,7 +694,20 @@ def test_incremental_dynamics_match_full_scan():
             assert expected.outcome == "stable"
             assert report.matching == expected.final, (seed, concept)
             assert report.deviation_count == len(expected.steps)
-    assert paired_alone >= 500
+    assert paired_alone >= 500 and limited >= 1000
+
+
+def test_dynamics_hash_collisions_are_confirmed(monkeypatch):
+    # With one key for every (player, partner), every step's hash equals the
+    # start's, so each step replays the run to tell a collision from a cycle.
+    monkeypatch.setattr(solvers, "_zobrist", lambda player, partner: 0)
+    cycles = 0
+    for seed, game, start in dynamics_corpus():
+        for concept in DYNAMICS_CONCEPTS:
+            expected = full_scan_dynamics(game, concept, start, 60)
+            assert run_dynamics(game, concept, start, 60) == expected, (seed, concept)
+            cycles += expected.outcome == "cycle"
+    assert cycles >= 400
 
 
 def test_cns_rechecks_only_players_a_move_touched(monkeypatch):
