@@ -34,14 +34,7 @@ from .solvers import (
     exists_ns_is_roommate_complete,
     run_dynamics,
 )
-from .stability import (
-    Concept,
-    DEVIATION_CONCEPTS,
-    DeviationWitness,
-    find_deviation,
-    find_ir_violator,
-    find_pair_block,
-)
+from .stability import Concept, DeviationWitness, find_violation
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -150,25 +143,17 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     game = parse_instance(_read(args.instance))
     matching = parse_matching(_read(args.matching), game)
-    concept = Concept(args.concept)
-    witness = None
-    if concept is Concept.IR:
-        violator = find_ir_violator(game, matching)
-        if violator is not None:
-            witness = f"UNACCEPTABLE player={violator} partner={matching.partner_of(violator)}"
-    elif concept in DEVIATION_CONCEPTS:
-        deviation = find_deviation(game, matching, concept)
-        if deviation is not None:
-            witness = _witness_line(deviation)
-    else:
-        block = find_pair_block(game, matching, strict=concept is Concept.STRICT_CORE)
-        if block is not None:
-            witness = f"BLOCK i={block.i} j={block.j}"
+    witness = find_violation(game, matching, Concept(args.concept))
     if witness is None:
         print("STABLE")
         return EXIT_OK
     print("UNSTABLE")
-    print(witness)
+    if isinstance(witness, DeviationWitness):
+        print(_witness_line(witness))
+    elif args.concept == "ir":
+        print(f"UNACCEPTABLE player={witness.i} partner={matching.partner_of(witness.i)}")
+    else:
+        print(f"BLOCK i={witness.i} j={witness.j}")
     return EXIT_NEGATIVE
 
 

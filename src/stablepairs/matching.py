@@ -138,10 +138,7 @@ def parse_matching(text: str, game: Game | int) -> Matching:
     for i in range(1, n + 1):
         if i not in assigned:
             raise FormatError(f"player {i} is missing from the matching")
-    try:
-        return Matching(assigned[i] for i in range(1, n + 1))
-    except ValueError as exc:
-        raise FormatError(str(exc)) from None
+    return Matching(assigned[i] for i in range(1, n + 1))
 
 
 def serialize_matching(matching: Matching) -> str:

@@ -84,7 +84,10 @@ stores its count; a hit adds it and counts as one node, and the first
 matching is unchanged, since a hit repeats a subtree searched earlier.
 Past :func:`_count_cache_cap` keys the cache only looks keys up, so counts
 stay exact.  Existence mode does not cache, as it would hold more memory for
-few hits; nor does IR, which :func:`_count_matchings` counts faster.
+few hits.  Nor does IR: its key would be :func:`_count_matchings`' taken-set,
+but the cache counts complete games 2-3 times slower, and from 24 players the
+sets outgrow the cap; on 2 vCPUs under Python 3.11, a complete 24-player count
+that the dynamic program ends in under a second did not end in 5 minutes.
 """
 
 from __future__ import annotations
@@ -106,8 +109,7 @@ from .stability import (
     _consent,
     _move_targets,
     _player_deviation,
-    find_deviation,
-    is_individually_rational,
+    find_violation,
     is_stable,
 )
 
@@ -130,6 +132,15 @@ class DynamicsTrace(
     __slots__ = ()
 
 
+def _verified(game: Game, matching: Matching, *concepts: Concept) -> Matching:
+    """``matching``, once :func:`find_violation` finds no witness under each concept."""
+    for concept in concepts:
+        witness = find_violation(game, matching, concept)
+        if witness is not None:
+            raise InternalCheckError(f"solver output is not {concept.name}-stable: {witness}")
+    return matching
+
+
 def _listers(game: Game) -> list[list[int]]:
     """``listers[j]``: the players whose lists name ``j``, ascending; O(n + L)."""
     listers: list[list[int]] = [[] for _ in range(game.n + 1)]
@@ -147,7 +158,7 @@ def _moves(
     ``partner[j - 1]`` is player ``j``'s partner.  A move ``(mover, old,
     target)`` is applied before it is yielded; ``old`` was the mover's
     partner, and ``target == mover`` means going alone.  One full
-    :func:`find_deviation` confirms the end.
+    :func:`_verified` scan confirms the end.
     """
     profile = game.profile
     need_target, need_left = _consent(concept)
@@ -175,10 +186,7 @@ def _moves(
                 if listers[freed] and listers[freed][0] < lo:
                     lo = listers[freed][0]
         yield i, old, target
-    if find_deviation(game, Matching._trusted(tuple(partner)), concept) is not None:
-        raise InternalCheckError(
-            f"better-response run stopped at a matching that is not {concept.name}-stable"
-        )
+    _verified(game, Matching._trusted(tuple(partner)), concept)
 
 
 def _better_response(game: Game, concept: Concept, bound: int, label: str) -> SolverReport:
@@ -204,8 +212,7 @@ def compute_cis_ir(game: Game) -> SolverReport:
     report = _better_response(
         game, Concept.CIS, max(n * (n - 1), 0), "CIS deviation bound n(n-1)"
     )
-    if not is_individually_rational(game, report.matching):
-        raise InternalCheckError("CIS better-response left an IR violation")
+    _verified(game, report.matching, Concept.IR)
     return report
 
 
@@ -279,12 +286,7 @@ def compute_is_marriage(game: Game) -> Matching:
     """
     if game.kind != MARRIAGE:
         raise PreconditionError("compute_is_marriage needs a marriage game")
-    result = gale_shapley(game, proposers="women")
-    if not is_individually_rational(game, result):
-        raise InternalCheckError("IS pipeline produced an IR violation")
-    if find_deviation(game, result, Concept.IS) is not None:
-        raise InternalCheckError("IS pipeline produced an IS-unstable matching")
-    return result
+    return _verified(game, gale_shapley(game, proposers="women"), Concept.IR, Concept.IS)
 
 
 def compute_ns_marriage_complete(game: Game) -> Matching:
@@ -301,10 +303,7 @@ def compute_ns_marriage_complete(game: Game) -> Matching:
         raise PreconditionError(
             "compute_ns_marriage_complete requires complete preference lists"
         )
-    result = compute_is_marriage(game)
-    if find_deviation(game, result, Concept.NS) is not None:
-        raise InternalCheckError("complete-list NS pipeline left an NS deviation")
-    return result
+    return _verified(game, compute_is_marriage(game), Concept.NS)
 
 
 def exists_ns_is_roommate_complete(game: Game) -> Matching | None:
@@ -324,9 +323,9 @@ def exists_ns_is_roommate_complete(game: Game) -> Matching | None:
         )
     n = game.n
     if n % 2 == 0:
-        result = Matching(i + 1 if i % 2 else i - 1 for i in range(1, n + 1))
-        _assert_ns(game, result)
-        return result
+        return _verified(
+            game, Matching(i + 1 if i % 2 else i - 1 for i in range(1, n + 1)), Concept.NS
+        )
     profile = game.profile
     for single in game.players():
         # Complete lists rank everyone but the owner: every ranks lookup
@@ -342,15 +341,8 @@ def exists_ns_is_roommate_complete(game: Game) -> Matching | None:
         match = _max_matching(n, adj)
         if match.count(0) == 2:  # index 0 and ``single`` alone are unmatched
             match[single] = single
-            result = Matching(match[1:])
-            _assert_ns(game, result)
-            return result
+            return _verified(game, Matching(match[1:]), Concept.NS)
     return None
-
-
-def _assert_ns(game: Game, matching: Matching) -> None:
-    if find_deviation(game, matching, Concept.NS) is not None:
-        raise InternalCheckError("constructed matching failed NS verification")
 
 
 def _prune_tables(game: Game, concept: Concept) -> tuple[list[list[int]], list[int]]:

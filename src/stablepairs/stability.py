@@ -61,19 +61,6 @@ def _partners(game: Game, matching: Matching) -> tuple[int, ...]:
     return matching.as_tuple()
 
 
-def find_ir_violator(game: Game, matching: Matching) -> int | None:
-    """The lowest-id player who strictly prefers being alone, or ``None``."""
-    for pl, partner in zip(game.profile, _partners(game, matching)):
-        if pl.rank_of(partner) > pl.self_rank:
-            return pl.owner
-    return None
-
-
-def is_individually_rational(game: Game, matching: Matching) -> bool:
-    """True iff every player weakly prefers its coalition to being alone."""
-    return find_ir_violator(game, matching) is None
-
-
 def find_deviation(
     game: Game, matching: Matching, concept: Concept
 ) -> DeviationWitness | None:
@@ -203,14 +190,32 @@ def find_pair_block(
     return None
 
 
-def is_stable(game: Game, matching: Matching, concept: Concept) -> bool:
-    """Dispatch to the verifier for ``concept``."""
-    if concept is Concept.IR:
-        return is_individually_rational(game, matching)
+def find_violation(
+    game: Game, matching: Matching, concept: Concept
+) -> DeviationWitness | PairBlockWitness | None:
+    """The witness that ``matching`` is not ``concept``-stable, or ``None``.
+
+    NS, IS, CNS and CIS: :func:`find_deviation`'s move.  Core and strict
+    core: :func:`find_pair_block`'s blocking pair.  IR: the degenerate block
+    ``(i, i)`` of the lowest-id player who strictly prefers being alone.
+    """
     if concept in DEVIATION_CONCEPTS:
-        return find_deviation(game, matching, concept) is None
-    if concept is Concept.CORE:
-        return find_pair_block(game, matching, strict=False) is None
-    if concept is Concept.STRICT_CORE:
-        return find_pair_block(game, matching, strict=True) is None
-    raise ValueError(f"unknown concept {concept}")
+        return find_deviation(game, matching, concept)
+    if concept is Concept.CORE or concept is Concept.STRICT_CORE:
+        return find_pair_block(game, matching, strict=concept is Concept.STRICT_CORE)
+    if concept is not Concept.IR:
+        raise ValueError(f"unknown concept {concept}")
+    for pl, partner in zip(game.profile, _partners(game, matching)):
+        if pl.rank_of(partner) > pl.self_rank:
+            return PairBlockWitness(pl.owner, pl.owner)
+    return None
+
+
+def is_stable(game: Game, matching: Matching, concept: Concept) -> bool:
+    """Whether :func:`find_violation` finds no witness."""
+    return find_violation(game, matching, concept) is None
+
+
+def is_individually_rational(game: Game, matching: Matching) -> bool:
+    """True iff every player weakly prefers its coalition to being alone."""
+    return find_violation(game, matching, Concept.IR) is None

@@ -198,20 +198,22 @@ def peak_rss_probe(probe: str) -> list[str]:
 
 
 def test_count_cache_memory_is_capped():
-    # This CNS count fills the cache's cap of 65,536 keys of 57 bits after
-    # 226,369 of its 323,803 nodes, and past the cap only looks keys up.
-    # Under tracemalloc it runs about 40 times slower, so its peak is read
-    # as the growth of a fresh interpreter's peak RSS (4.6 MiB).
+    # This CNS count fills the cache's cap of 65,536 keys of 60 bits after
+    # 232,230 of its 1,368,470 nodes, and past the cap only looks keys up.
+    # Uncapped, the cache would store 165,343 keys and the peak would grow
+    # by about 10 MiB; capped, it grows by about 5 MiB.  Under tracemalloc
+    # the count runs about 40 times slower, so its peak is read as the
+    # growth of a fresh interpreter's peak RSS.
     count, exhausted, grown = peak_rss_probe(
         "from stablepairs import Concept, GenParams, random_game\n"
         "from stablepairs.solvers import _run_search\n"
-        "game = random_game(GenParams(kind='roommate', n=18, tie_probability=0.3,"
-        " acceptability_probability=0.4, seed=4))\n"
+        "game = random_game(GenParams(kind='roommate', n=19, tie_probability=0.3,"
+        " acceptability_probability=0.4, seed=2))\n"
         "before = peak()\n"
         "_, count, exhausted = _run_search(game, Concept.CNS)\n"
         "print(count, exhausted, peak() - before)\n"
     )
-    assert (count, exhausted) == ("797554", "True")
+    assert (count, exhausted) == ("984623", "True")
     assert int(grown) < 8 * 2**20
     # On the sparse game a key has 9,003 bits, and the cap is 1,863 keys.
     game = sparse_3000()
@@ -264,17 +266,18 @@ def test_complete_roommate_decision_memory():
 
 
 def test_ir_count_memory():
-    # The count keeps two layers of taken-player sets, at most 6,476 sets
-    # in one layer here (about 1.4 MiB at the peak); the search would visit
-    # about 2.4e10 leaves, one per matching.
-    game = random_game(GenParams(kind="roommate", n=20, complete=True, seed=1))
+    # The count keeps two layers of taken-player sets, at most 16,384 sets
+    # in one layer here (about 2.9 MiB at the peak); the search would visit
+    # about 6.2e11 leaves, one per matching.  The count cache, keyed on the
+    # same taken-sets under IR, peaks at about 6 MiB on this game.
+    game = random_game(GenParams(kind="roommate", n=22, complete=True, seed=1))
     tracemalloc.start()
     try:
-        _, count = brute_force(game, Concept.IR, cap=20)
+        _, count = brute_force(game, Concept.IR, cap=22)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert count == 23_758_664_096
+    assert count == 618_884_638_912
     assert peak < 4 * 2**20
 
 

@@ -4,15 +4,19 @@ from __future__ import annotations
 
 import random
 import re
+from itertools import repeat
 from math import comb, factorial
 
 import pytest
 
 from stablepairs import (
     Concept,
+    DeviationWitness,
     InternalCheckError,
     Matching,
+    PairBlockWitness,
     PreconditionError,
+    SolverReport,
     brute_force,
     compute_cis_ir,
     compute_cns,
@@ -31,7 +35,7 @@ from stablepairs import (
     run_dynamics,
     serialize_instance,
 )
-from stablepairs import Graph, max_matching, solvers
+from stablepairs import Graph, cli, max_matching, solvers
 from stablepairs.model import GenParams
 from stablepairs.solvers import _earlier_twins, _run_search, _table_stable, _target_table
 from stablepairs.stability import _player_deviation
@@ -741,6 +745,68 @@ def test_missed_deviation_fails_the_final_check(monkeypatch):
         compute_cns(game)
     with pytest.raises(InternalCheckError):
         run_dynamics(game, Concept.NS, Matching.singletons(3), 10)
+
+
+# Every post-solve check, made to fire by a producer that returns a bad
+# matching: (producer, its fake, solver, game, failed concept, witness).
+BROKEN_PRODUCERS = [
+    ("gale_shapley", lambda game, proposers: Matching([2, 1]), compute_is_marriage,
+     "marriage 1 1\n1: 2\n2:\n", Concept.IR, PairBlockWitness(2, 2)),
+    ("gale_shapley", lambda game, proposers: Matching.singletons(2), compute_is_marriage,
+     "marriage 1 1\n1: 2\n2: 1\n", Concept.IS, DeviationWitness(1, 2, Concept.IS)),
+    ("compute_is_marriage", lambda game: Matching.singletons(2), compute_ns_marriage_complete,
+     "marriage 1 1\n1: 2\n2: 1\n", Concept.NS, DeviationWitness(1, 2, Concept.NS)),
+    # The first candidate single is player 1; the fake pairs 2 with 3.
+    ("_max_matching", lambda n, adj: [0, 0, 3, 2], exists_ns_is_roommate_complete,
+     CYCLIC3, Concept.NS, DeviationWitness(3, 1, Concept.NS)),
+    # An even game taken for complete gets a perfect matching.
+    ("has_no_unacceptability", lambda game: True, exists_ns_is_roommate_complete,
+     "roommate 2\n1: 2\n2:\n", Concept.NS, DeviationWitness(2, None, Concept.NS)),
+    ("_better_response", lambda game, *args: SolverReport(Matching([2, 1]), 0, 0.0),
+     compute_cis_ir, "roommate 2\n1: 2\n2:\n", Concept.IR, PairBlockWitness(2, 2)),
+    ("_player_deviation", lambda *args: None, compute_cns,
+     CYCLIC3, Concept.CNS, DeviationWitness(1, 2, Concept.CNS)),
+]
+
+
+@pytest.mark.parametrize(
+    "producer, fake, solve, text, concept, witness",
+    BROKEN_PRODUCERS,
+    ids=[f"{case[0]}-{case[4].name}" for case in BROKEN_PRODUCERS],
+)
+def test_every_post_solve_check_fires(monkeypatch, producer, fake, solve, text, concept, witness):
+    monkeypatch.setattr(solvers, producer, fake)
+    message = f"solver output is not {concept.name}-stable: {witness!r}"
+    with pytest.raises(InternalCheckError, match=f"^{re.escape(message)}$"):
+        solve(parse_instance(text))
+
+
+def test_a_failed_post_solve_check_exits_5(monkeypatch, tmp_path, capsys):
+    producer, fake, _, text, _, witness = BROKEN_PRODUCERS[0]
+    monkeypatch.setattr(solvers, producer, fake)
+    path = tmp_path / "game.txt"
+    path.write_text(text, encoding="utf-8")
+    assert cli.main(["solve", "--concept", "is", str(path)]) == cli.EXIT_INTERNAL == 5
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        f"error: internal: InternalCheckError: solver output is not IR-stable: {witness!r}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "solve, message",
+    [
+        (compute_cns, "CNS deviation bound 2n^2: 19 deviations exceed 18"),
+        (compute_cis_ir, "CIS deviation bound n(n-1): 7 deviations exceed 6"),
+    ],
+    ids=["CNS", "CIS"],
+)
+def test_a_run_past_its_deviation_bound_fails(monkeypatch, solve, message):
+    # An engine that never settles must stop at the proved bound.
+    monkeypatch.setattr(solvers, "_moves", lambda game, concept, partner: repeat((1, 2, 2)))
+    with pytest.raises(InternalCheckError, match=f"^{re.escape(message)}$"):
+        solve(parse_instance(CYCLIC3))
 
 
 def test_solver_reports_have_timing():
