@@ -399,42 +399,31 @@ def _target_table(
 
     Rule (e) reads the moves as bitmasks, bit ``t`` for target ``t``:
     ``alone[q]`` for q single, and ``branches[i]`` pairs each ``j`` in
-    ``cand[i]`` with the pair's mask.  Set-up costs O(sum over q of
-    (1 + deg_q) * len(order_q)).
+    ``cand[i]``, in order, with the OR of both members' masks.  Set-up
+    costs O(sum over q of (1 + deg_q) * len(order_q)).
     """
     need_target, need_left = _consent(concept)
-    neighbours = [[q] for q in range(game.n + 1)]
-    for i, row in enumerate(cand):
-        for j in row:
-            neighbours[i].append(j)
-            neighbours[j].append(i)
     profile = game.profile
-    targets: list[dict[int, tuple[int, ...]]] = [{0: ()}]
-    alone = [0] * (game.n + 1)
-    pair = [dict.fromkeys(row, 0) for row in cand]  # pair[i][j]: both members' masks
+    targets: list[dict[int, tuple[int, ...]]] = [{0: ()}] + [{} for _ in profile]
     # The matching that pairs q with p and leaves everyone else single.
     partner_of = list(range(1, game.n + 1))
-    for pl in profile:
-        q = pl.owner
-        row: dict[int, tuple[int, ...]] = {}
-        for p in neighbours[q]:
-            partner_of[q - 1], partner_of[p - 1] = p, q
-            mask = 0
-            moves = []
-            for t in _move_targets(profile, partner_of, pl, need_target, need_left):
-                t = t if t != q else 0
-                moves.append(t)
-                mask |= 1 << t
-            row[p] = tuple(moves)
-            if p == q:
-                alone[q] = mask
-            elif q < p:
-                pair[q][p] |= mask
-            else:
-                pair[p][q] |= mask
-            partner_of[q - 1], partner_of[p - 1] = q, p
-        targets.append(row)
-    return targets, alone, [list(row.items()) for row in pair]
+
+    def moves_of(q: int, p: int) -> int:
+        """Fill ``targets[q][p]`` and return its mask."""
+        partner_of[q - 1], partner_of[p - 1] = p, q
+        mask = 0
+        moves = []
+        for t in _move_targets(profile, partner_of, profile[q - 1], need_target, need_left):
+            t = t if t != q else 0
+            moves.append(t)
+            mask |= 1 << t
+        partner_of[q - 1], partner_of[p - 1] = q, p
+        targets[q][p] = tuple(moves)
+        return mask
+
+    alone = [0] + [moves_of(q, q) for q in range(1, game.n + 1)]
+    branches = [[(j, moves_of(i, j) | moves_of(j, i)) for j in row] for i, row in enumerate(cand)]
+    return targets, alone, branches
 
 
 def _table_stable(targets: list[dict[int, tuple[int, ...]]], pi: list[int]) -> bool:
@@ -530,7 +519,6 @@ def _run_search(
     # when i goes alone, and a mask beside each j in branches[i] when i
     # takes j.  Rule (c) is the core case, with masks only for singles.
     cand, alone = _prune_tables(game, concept)
-    ir = concept is Concept.IR
     targets = None
     if concept in DEVIATION_CONCEPTS:
         targets, alone, branches = _target_table(game, concept, cand)
@@ -538,7 +526,8 @@ def _run_search(
         branches = [[(j, 0) for j in row] for row in cand]
     # Rule (d).  The undecided members of a class always form a suffix of
     # it, so j is the lowest one exactly when its earlier twin is decided.
-    # Index 0 stands for "no earlier twin" and stays decided.
+    # Index 0 stands for "no earlier twin" and, like every index up to the
+    # branching player, counts as decided.
     twin = _earlier_twins(game) if stop_after == 1 else [0] * (n + 1)
     # The count cache maps a frontier key to the stable count below it (see
     # the module docstring).  reach[k] holds every target that a branch of a
@@ -554,8 +543,13 @@ def _run_search(
                 reach[q] |= mask
         frame: list = [(1, 0, 0)] * (n + 1)
 
-    pi = list(range(n + 1))
-    decided = [True] + [False] * n
+    # ``pi[q]`` is q's partner, q itself while single or undecided.  The
+    # decided players are those up to the current frame's player i, which
+    # took them in id order, and the later players they took: only frame
+    # players go alone, so a player k > i is decided exactly when
+    # ``pi[k] != k``.  ``pi[n + 1]`` stays n + 1, so the scan for the next
+    # undecided player stops there without a bound check.
+    pi = list(range(n + 2))
     # Rules (c) and (e).  ``single`` has a bit per decided single and bit 0,
     # for going alone.  ``moves`` is the union of the masks of the decided
     # players' branches; every node keeps ``moves & single == 0``, so no
@@ -570,9 +564,8 @@ def _run_search(
     # A frame is owned by its branching player i: up[i] is the frame above
     # (0 above the root) and rest[i] iterates i's untried partners with
     # their pair masks.  j is the partner of the current frame's latest
-    # branch, i itself when alone.
+    # branch, i itself when alone, and 0 before its first branch.
     i = j = 0
-    untried = None
     up = [0] * (n + 1)
     rest: list = [None] * (n + 1)
     while True:
@@ -582,7 +575,7 @@ def _run_search(
             if left < 0:
                 break
         k = i + 1
-        while k <= n and decided[k]:
+        while pi[k] != k:
             k += 1
         hit = None
         if memo is not None and k <= n:
@@ -590,71 +583,60 @@ def _run_search(
             key = ((single & reach[k]) << n + 1 | moves & ~dec) << n + 1 | dec
             hit = memo.get(key)
         if k <= n and hit is None:
-            decided[k] = True
             up[k] = i
             base[k] = moves
-            i = k
-            untried = rest[k] = iter(branches[k])
+            rest[k] = iter(branches[k])
             if memo is not None:
                 frame[k] = (dec | 1 << k, key, count)
-        else:
-            if hit is not None:
-                count += hit
-            elif targets is not None and not _table_stable(targets, pi):
-                raise InternalCheckError("rule (e) kept a leaf with an open move")
-            elif (
-                targets is not None
-                or ir
-                or is_stable(game, Matching._trusted(tuple(pi[1:])), concept)
-            ):
-                count += 1
-                if found is None:
-                    found = tuple(pi[1:])
-                if stop_after is not None and count >= stop_after:
-                    break
-            # Undo the branch that led to this leaf or cached subtree.
-            if j != i:
-                decided[j] = False
+            i, j = k, 0
+        elif hit is not None:
+            count += hit
+        elif targets is not None and not _table_stable(targets, pi):
+            raise InternalCheckError("rule (e) kept a leaf with an open move")
+        elif (
+            targets is not None
+            or concept is Concept.IR
+            or is_stable(game, Matching._trusted(tuple(pi[1:-1])), concept)
+        ):
+            count += 1
+            if found is None:
+                found = tuple(pi[1:-1])
+            if stop_after is not None and count >= stop_after:
+                break
+        # Undo frame i's latest branch, the only undo (after the visit opened
+        # frame i, j == 0 and the writes change nothing), and take its next
+        # branch: a partner, then alone.  A frame whose alone branch, the
+        # last, is undone or was pruned (so never taken) hands over to the
+        # frame above, whose latest branch is undone next.
+        while True:
+            if j == i:
+                single ^= 1 << i
+            else:
                 pi[i] = i
                 pi[j] = j
-            else:
-                single ^= 1 << i
-        # Take the current frame's next branch: a partner, then alone.  A
-        # frame done with its last branch (j == i) hands over to the frame
-        # above, which first undoes its own latest branch.
-        while True:
-            while j == i:
-                decided[i] = False
-                if memo is not None and len(memo) < cap:
-                    _, key, before = frame[i]
-                    memo[key] = count - before
-                i = up[i]
-                if not i:
-                    return (Matching(found) if found is not None else None), count, True
-                untried = rest[i]
-                j = pi[i]
-                if j != i:
-                    decided[j] = False
-                    pi[i] = i
-                    pi[j] = j
+                for j, mask in rest[i]:
+                    if pi[j] == j and ((t := twin[j]) <= i or pi[t] != t) and not mask & single:
+                        pi[i] = j
+                        pi[j] = i
+                        moves = base[i] | mask
+                        break
                 else:
-                    single ^= 1 << i
-            for j, mask in untried:
-                if not decided[j] and decided[twin[j]] and not mask & single:
-                    decided[j] = True
-                    pi[i] = j
-                    pi[j] = i
-                    moves = base[i] | mask
+                    j = i
+                    mask = base[i] | alone[i]
+                    bit = 1 << i
+                    if not mask & (single | bit):
+                        single |= bit
+                        moves = mask
+                        break
+                if j != i:
                     break
-            else:
-                j = i
-                mask = base[i] | alone[i]
-                bit = 1 << i
-                if mask & (single | bit):
-                    continue
-                single |= bit
-                moves = mask
-            break
+            if memo is not None and len(memo) < cap:
+                _, key, before = frame[i]
+                memo[key] = count - before
+            i = up[i]
+            if not i:
+                return (Matching(found) if found is not None else None), count, True
+            j = pi[i]
     return (Matching(found) if found is not None else None), count, False
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import io
+import sys
 import time
 
 import pytest
@@ -89,6 +91,13 @@ def test_exists_brute_cyclic3_is_no(capsys, cyclic3):
     code, out, _ = run(capsys, "exists", "--concept", "is", "--method", "brute", cyclic3)
     assert code == 1
     assert out.strip() == "NO"
+
+
+def test_an_instance_reads_from_stdin_as_dash(capsys, monkeypatch, cyclic3):
+    from_file = run(capsys, "exists", "--concept", "is", cyclic3)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(CYCLIC3))
+    assert run(capsys, "exists", "--concept", "is", "-") == from_file
+    assert from_file[0] == 1 and from_file[1] == "NO\n"
 
 
 def test_exists_poly_and_auto(capsys, cyclic3, tiny_marriage):

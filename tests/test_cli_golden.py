@@ -18,6 +18,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import sys
 import tempfile
 from pathlib import Path
@@ -73,6 +74,57 @@ def test_corpus_covers_every_subcommand_and_concept():
     verified = {argv[argv.index("--concept") + 1] for argv in argvs if argv[0] == "verify"}
     assert verified >= {"ir", "ns", "is", "cns", "cis", "core", "strict-core"}
     assert {c["exit"] for c in _CORPUS["calls"]} >= {0, 1, 2, 3}
+
+
+#: What the fuzz inserts, or puts in place of a character or a token.
+FUZZ_TOKENS = ("(", ")", "self", "-", "#", ":", "0", "-1", "123456789", " ", "\n")
+
+
+def _mutate(text: str, rng: random.Random) -> str:
+    """``text`` after one to three random edits of characters, tokens or lines."""
+    for _ in range(rng.randint(1, 3)):
+        edit = rng.randrange(6)
+        if edit < 3:  # drop, insert or replace a character
+            at = rng.randint(0, len(text))
+            cut = at + (edit != 1)
+            text = text[:at] + ("" if edit == 0 else rng.choice(FUZZ_TOKENS)) + text[cut:]
+        elif edit < 5:  # drop or replace a whitespace-separated token
+            tokens = text.split(" ")
+            at = rng.randrange(len(tokens))
+            tokens[at : at + 1] = [] if edit == 3 else [rng.choice(FUZZ_TOKENS)]
+            text = " ".join(tokens)
+        else:
+            lines = text.split("\n")
+            rng.shuffle(lines)
+            text = "\n".join(lines)
+    return text
+
+
+def test_mutated_inputs_fail_cleanly(tmp_path, monkeypatch):
+    # Every call of the corpus that reads files, replayed with one of its
+    # input files mutated, must exit with a documented code for valid or
+    # invalid input (0-4), never as an internal error (5) or a traceback.
+    calls = [
+        (call["argv"], [a for a in call["argv"] if a in _CORPUS["files"]])
+        for call in _CORPUS["calls"]
+    ]
+    calls = [(argv, names) for argv, names in calls if names]
+    _write_files(tmp_path, _CORPUS["files"])
+    monkeypatch.chdir(tmp_path)
+    rng = random.Random(20121)
+    for case in range(600):
+        argv, names = rng.choice(calls)
+        name = rng.choice(names)
+        text = _mutate(_CORPUS["files"][name], rng)
+        (tmp_path / name).write_text(text, encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        (tmp_path / name).write_text(_CORPUS["files"][name], encoding="utf-8")
+        failure = (case, argv, name, text, code, err.getvalue())
+        assert 0 <= code <= 4, failure
+        assert "error: internal" not in err.getvalue(), failure
+        assert "Traceback" not in err.getvalue(), failure
 
 
 def _record() -> None:

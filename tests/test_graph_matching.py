@@ -50,6 +50,16 @@ def test_graph_parse_rejects_malformed(text):
         parse_graph(text)
 
 
+def test_graph_constructors_reject_bad_edges():
+    with pytest.raises(ValueError, match="^loop at vertex 1$"):
+        Graph.build(2, [(1, 1)])
+    with pytest.raises(ValueError, match="^vertex count must be non-negative$"):
+        Graph(-1, frozenset())
+    with pytest.raises(ValueError, match=r"^edge \(2, 1\) is not a normalized in-range pair$"):
+        Graph(2, frozenset({(2, 1)}))
+    assert Graph.build(2, [(2, 1)]) == Graph(2, frozenset({(1, 2)}))
+
+
 def test_max_matching_triangle_and_square():
     triangle = Graph.build(3, [(1, 2), (2, 3), (1, 3)])
     assert len(max_matching(triangle)) == 1

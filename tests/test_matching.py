@@ -91,6 +91,8 @@ def test_with_move_semantics():
     for target in (0, -1, m.n + 1):
         with pytest.raises(ValueError, match=rf"^target {target} out of range$"):
             m.with_move(3, target)
+        with pytest.raises(ValueError, match=rf"^mover {target} out of range$"):
+            m.with_move(target, 3)
 
 
 def test_enumerate_counts_small():

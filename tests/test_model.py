@@ -6,6 +6,7 @@ import copy
 import dataclasses
 import pickle
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -157,6 +158,38 @@ def test_roommate_game_rejects_a_side_count():
     assert list(game.men) == list(game.women) == []
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((0,), "player ids are 1-based"),
+        ((1, (frozenset(),)), "empty preference tier"),
+        ((1, (frozenset({1, 2}),)), "owner may not appear in its own tiers"),
+        ((1, (frozenset({2}), frozenset({2, 3}))), "player listed in more than one tier"),
+        ((1, (frozenset({2}),), 1, True), "self_tier out of range for a tied self"),
+        ((1, (frozenset({2}),), 2), "self_tier out of range"),
+        ((1, (frozenset({2}),), -1), "self_tier out of range"),
+    ],
+)
+def test_preference_list_rejects_bad_tiers(args, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        PreferenceList(*args)
+
+
+@pytest.mark.parametrize(
+    "n, owners, kind, message",
+    [
+        (2, (1, 2), "circle", "unknown game kind 'circle'"),
+        (-1, (), "roommate", "player count must be non-negative"),
+        (3, (1, 2), "roommate", "need exactly one preference list per player"),
+        (2, (2, 1), MARRIAGE, "profile must be ordered by owner id 1..n"),
+    ],
+)
+def test_game_rejects_a_bad_shape(n, owners, kind, message):
+    profile = tuple(PreferenceList(i) for i in owners)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Game(n, profile, kind)
+
+
 def test_every_marriage_builder_numbers_the_sides_as_ranges():
     tied = parse_instance("marriage 2 3\n1: 3 ( 4 self )\n2:\n3: 1\n4:\n5: 2\n")
     games = {
@@ -265,11 +298,13 @@ def test_generator_complete_marriage():
 
 
 def test_generator_rejects_bad_params():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^tie_probability must lie in \[0, 1\]$"):
         random_game(GenParams(kind="roommate", n=3, tie_probability=1.5))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^acceptability_probability must lie in \[0, 1\]$"):
+        random_game(GenParams(kind="roommate", n=3, acceptability_probability=1.5))
+    with pytest.raises(ValueError, match="^player counts must be non-negative$"):
         random_game(GenParams(kind="roommate", n=-1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^unknown game kind 'circle'$"):
         random_game(GenParams(kind="circle", n=3))
 
 

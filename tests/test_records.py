@@ -128,6 +128,31 @@ def test_preference_list_compares_ranks_but_does_not_hash_them():
     assert a == PreferenceList(1, (frozenset({2, 3}), frozenset({4})), 1, True)
 
 
+def test_frozen_records_compare_only_with_their_own_class():
+    game, _ = RECORDS[Game]
+    graph, _ = RECORDS[Graph]
+    fields = (game.n, game.profile, game.kind, game.num_men)
+    assert graph != game and not graph == game
+    assert game != fields and fields != game and not game == fields
+
+
+def test_reprs_rebuild_the_record():
+    namespace = {"Game": Game, "Graph": Graph, "PreferenceList": PreferenceList}
+    for pl in (
+        PreferenceList(1, (frozenset({2, 3}), frozenset({4})), 1, True),
+        PreferenceList(2, (frozenset({1}),), 0),
+        PreferenceList(3),
+    ):
+        assert eval(repr(pl), namespace) == pl
+    game, _ = RECORDS[Game]
+    assert eval(repr(game), namespace) == game
+    graph = Graph.build(3, [(2, 1)])
+    assert repr(graph) == "Graph(n=3, edges=frozenset({(1, 2)}))"
+    assert eval(repr(graph), namespace) == graph
+    assert repr(Matching([2, 1, 3])) == "Matching[(1,2) (3)]"
+    assert repr(Matching(())) == "Matching[]"
+
+
 def test_cli_imports_no_code_generating_modules():
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     probe = (

@@ -199,6 +199,12 @@ def test_gale_shapley_rejects_roommate_games():
         gale_shapley(parse_instance(CYCLIC3))
 
 
+def test_gale_shapley_rejects_unknown_proposers():
+    game = parse_instance("marriage 1 1\n1: 2\n2: 1\n")
+    with pytest.raises(ValueError, match="^proposers must be 'men' or 'women'$"):
+        gale_shapley(game, proposers="both")
+
+
 # -------------------------------------------------------------- is-marriage
 
 def test_compute_is_marriage_empty_game():
@@ -232,8 +238,10 @@ def test_compute_ns_marriage_complete():
         complete = random_marriage(seed, max_side=4, complete=True)
         result = compute_ns_marriage_complete(complete)
         assert find_deviation(complete, result, Concept.NS) is None
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="^compute_ns_marriage_complete requires"):
         compute_ns_marriage_complete(parse_instance("marriage 1 1\n1: 2\n2:\n"))
+    with pytest.raises(PreconditionError, match="^compute_ns_marriage_complete needs a marriage game$"):
+        compute_ns_marriage_complete(parse_instance(CYCLIC3))
 
 
 # ------------------------------------------------- roommate complete checks
@@ -566,6 +574,13 @@ def test_an_open_move_at_a_kept_leaf_is_an_internal_error(monkeypatch):
         _run_search(parse_instance(CYCLIC3), Concept.IS)
 
 
+def _bits(moves: tuple[int, ...]) -> int:
+    mask = 0
+    for t in moves:
+        mask |= 1 << t
+    return mask
+
+
 def test_move_targets_match_the_definitions():
     # The table lists each player's moves as if everyone else were single;
     # in any matching, the first listed move that is open must be the one
@@ -584,7 +599,13 @@ def test_move_targets_match_the_definitions():
         for concept in (Concept.NS, Concept.IS, Concept.CNS, Concept.CIS):
             need_target = concept in (Concept.IS, Concept.CIS)
             need_left = concept in (Concept.CNS, Concept.CIS)
-            targets, _, _ = _target_table(game, concept, every_pair)
+            targets, alone, branches = _target_table(game, concept, every_pair)
+            # Rule (e)'s masks: bit t for each target t, both members' for a pair.
+            for q in game.players():
+                assert alone[q] == _bits(targets[q][q])
+                assert [j for j, _ in branches[q]] == every_pair[q]
+                for j, mask in branches[q]:
+                    assert mask == _bits(targets[q][j]) | _bits(targets[j][q])
             for _ in range(4):
                 matching = random_matching(game.n, rng)
                 partner_of = matching.as_tuple()
@@ -627,6 +648,17 @@ def test_dynamics_step_limit():
     trace = run_dynamics(game, Concept.IS, start, 2)
     assert trace.outcome == "step-limit" and len(trace.steps) == 2
     assert trace.final == replay_dynamics(start, trace)[-1]
+
+
+def test_dynamics_rejects_bad_arguments():
+    game = parse_instance(CYCLIC3)
+    start = Matching.singletons(3)
+    with pytest.raises(ValueError, match="^Concept.CORE is not a single-player deviation concept$"):
+        run_dynamics(game, Concept.CORE, start, 10)
+    with pytest.raises(ValueError, match="^initial matching does not fit the game$"):
+        run_dynamics(game, Concept.IS, Matching.singletons(4), 10)
+    with pytest.raises(ValueError, match="^max_steps must be non-negative$"):
+        run_dynamics(game, Concept.IS, start, -1)
 
 
 def test_dynamics_traces_replay_exactly():

@@ -144,8 +144,10 @@ def test_lattice_small_scale():
 
 def test_find_deviation_rejects_non_deviation_concepts():
     game = parse_instance(CYCLIC3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^Concept.CORE is not a single-player deviation concept$"):
         find_deviation(game, Matching.singletons(3), Concept.CORE)
+    with pytest.raises(ValueError, match="^unknown concept core$"):
+        is_stable(game, Matching.singletons(3), "core")
 
 
 @pytest.mark.parametrize("size", [2, 4])
