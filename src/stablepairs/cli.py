@@ -246,16 +246,9 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     else:
         artifact = mmm_to_roommate_is(graph, args.k)
     print(f"# reduction {args.construction} n={artifact.n} k={artifact.k} r={artifact.r}")
-    for player in sorted(artifact.roles):
-        role = artifact.roles[player]
-        fields = [f"player={player}", f"kind={role.kind}"]
-        if role.vertex is not None:
-            fields.append(f"vertex={role.vertex}")
-        if role.gadget is not None:
-            fields.append(f"gadget={role.gadget}")
-        if role.layer is not None:
-            fields.append(f"layer={role.layer}")
-        print("# role " + " ".join(fields))
+    for player, role in sorted(artifact.roles.items()):
+        fields = [f"{name}={value}" for name, value in zip(role._fields, role) if value is not None]
+        print(f"# role player={player} " + " ".join(fields))
     sys.stdout.write(serialize_instance(artifact.game))
     return EXIT_OK
 

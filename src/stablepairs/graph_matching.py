@@ -12,7 +12,7 @@ from collections import deque
 from collections.abc import Iterable
 
 from ._frozen import Frozen
-from .errors import FormatError, PreconditionError
+from .errors import FormatError, PreconditionError, _int, _lines
 
 Edge = tuple[int, int]
 
@@ -56,28 +56,19 @@ def parse_graph(text: str) -> Graph:
     """Parse ``graph <n> <m>`` followed by ``m`` lines ``u v``; ``#`` comments."""
     header: tuple[int, int] | None = None
     edges: list[Edge] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        stripped = raw.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        fields = stripped.split()
+    for lineno, content in _lines(text):
+        fields = content.split()
         if header is None:
             if len(fields) != 3 or fields[0] != "graph":
                 raise FormatError("expected header 'graph <n> <m>'", lineno)
-            try:
-                n, m = int(fields[1]), int(fields[2])
-            except ValueError:
-                raise FormatError("non-numeric counts in header", lineno) from None
+            n, m = (_int(c, "non-numeric counts in header", lineno) for c in fields[1:])
             if n < 0 or m < 0:
                 raise FormatError("negative counts in header", lineno)
             header = (n, m)
             continue
         if len(fields) != 2:
             raise FormatError("expected edge line 'u v'", lineno)
-        try:
-            u, v = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise FormatError("non-numeric vertex id", lineno) from None
+        u, v = (_int(c, "non-numeric vertex id", lineno) for c in fields)
         n = header[0]
         if not (1 <= u <= n and 1 <= v <= n):
             raise FormatError(f"vertex id out of range in edge ({u}, {v})", lineno)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from .errors import FormatError
+from .errors import FormatError, _int, _lines
 from .model import Game
 
 
@@ -112,24 +112,15 @@ def parse_matching(text: str, game: Game | int) -> Matching:
             )
         assigned[i] = j
 
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        stripped = raw.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        fields = stripped.split()
+    for lineno, content in _lines(text):
+        fields = content.split()
         if len(fields) != 2:
             raise FormatError("expected 'i j' or 'i -'", lineno)
-        try:
-            i = int(fields[0])
-        except ValueError:
-            raise FormatError(f"bad player id {fields[0]!r}", lineno) from None
+        i = _int(fields[0], "bad player id {!r}", lineno)
         if fields[1] == "-":
             take(i, i, lineno)
             continue
-        try:
-            j = int(fields[1])
-        except ValueError:
-            raise FormatError(f"bad player id {fields[1]!r}", lineno) from None
+        j = _int(fields[1], "bad player id {!r}", lineno)
         if i == j:
             raise FormatError("a player cannot pair with itself; use '-'", lineno)
         take(i, j, lineno)

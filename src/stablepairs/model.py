@@ -16,12 +16,14 @@ from itertools import groupby
 from types import MappingProxyType
 
 from ._frozen import Frozen
-from .errors import FormatError
+from .errors import FormatError, _int, _lines
 
 ROOMMATE = "roommate"
 MARRIAGE = "marriage"
 
 _SELF_TOKEN = "self"
+#: How many counts follow each header keyword.
+_HEADER_ARITY = {ROOMMATE: 1, MARRIAGE: 2}
 
 
 class PreferenceList(Frozen):
@@ -338,41 +340,23 @@ def parse_instance(text: str) -> Game:
     kind: str | None = None
     lines: dict[int, tuple[int, str]] = {}
     n = m = 0
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        stripped = raw.split("#", 1)[0].strip()
-        if not stripped:
-            continue
+    for lineno, content in _lines(text):
         if kind is None:
-            fields = stripped.split()
-            if fields[0] == ROOMMATE and len(fields) == 2:
-                kind = ROOMMATE
-                counts = fields[1:]
-            elif fields[0] == MARRIAGE and len(fields) == 3:
-                kind = MARRIAGE
-                counts = fields[1:]
-            else:
+            fields = content.split()
+            if _HEADER_ARITY.get(fields[0]) != len(fields) - 1:
                 raise FormatError(
                     "expected header 'roommate <n>' or 'marriage <m> <w>'", lineno
                 )
-            try:
-                nums = [int(c) for c in counts]
-            except ValueError:
-                raise FormatError("non-numeric player count in header", lineno) from None
+            kind = fields[0]
+            nums = [_int(c, "non-numeric player count in header", lineno) for c in fields[1:]]
             if any(c < 0 for c in nums):
                 raise FormatError("negative player count in header", lineno)
-            if kind == ROOMMATE:
-                n, m = nums[0], 0
-            else:
-                m = nums[0]
-                n = m + nums[1]
+            n, m = sum(nums), (nums[0] if kind == MARRIAGE else 0)
             continue
-        if ":" not in stripped:
+        if ":" not in content:
             raise FormatError("expected '<id>: <entries>'", lineno)
-        lhs, rhs = stripped.split(":", 1)
-        try:
-            owner = int(lhs)
-        except ValueError:
-            raise FormatError(f"bad player id {lhs.strip()!r}", lineno) from None
+        lhs, rhs = content.split(":", 1)
+        owner = _int(lhs.strip(), "bad player id {!r}", lineno)
         if not 1 <= owner <= n:
             raise FormatError(f"player id {owner} out of range", lineno)
         if owner in lines:
@@ -406,6 +390,11 @@ def _parse_entries(
     player ``j``.
     """
     tokens = rhs.replace("(", " ( ").replace(")", " ) ").split()
+    # An id is ASCII and has no '_'; only a line that breaks that is walked.
+    if "_" in rhs or not rhs.isascii():
+        for token in tokens:
+            if "_" in token or not token.isascii():
+                raise FormatError(f"unexpected token {token!r}", lineno)
     # The owner's potential partners are exactly the ids in lo..hi, less itself.
     lo, hi = (1, n) if m is None else (m + 1, n) if owner <= m else (1, m)
     order: list[int] = []

@@ -34,20 +34,42 @@ def test_graph_parse_and_roundtrip():
     assert parse_graph(f"graph {g.n} {len(g.edges)}\n{edge_lines}") == g
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "graph 2 1\n1 1\n",  # loop
-        "graph 2 1\n1 3\n",  # out of range
-        "graph 2 2\n1 2\n",  # wrong edge count
-        "graph 2 1\n1 2 3\n",  # bad arity
-        "noise\n",
-        "",
-    ],
-)
-def test_graph_parse_rejects_malformed(text):
-    with pytest.raises(FormatError):
+MALFORMED = [
+    ("graph 2 1\n1 1\n", "line 2: loop at vertex 1"),
+    ("graph 2 1\n1 3\n", "line 2: vertex id out of range in edge (1, 3)"),
+    ("graph 2 2\n1 2\n", "header announces 2 edges but 1 distinct edges given"),
+    ("graph 2 1\n1 2 3\n", "line 2: expected edge line 'u v'"),
+    ("noise\n", "line 1: expected header 'graph <n> <m>'"),
+    ("", "empty graph file: missing header"),
+    # a count or a vertex id is an optional sign and ASCII digits
+    ("graph 1_0 1\n1 2\n", "line 1: non-numeric counts in header"),
+    ("graph 2 1\n1 \u0662\n", "line 2: non-numeric vertex id"),
+    # a comment-only line, a blank line and line ends each count as one line
+    ("# P2\ngraph 2 1\n1 3\n", "line 3: vertex id out of range in edge (1, 3)"),
+    ("graph 2 1\n\n1 3\n", "line 3: vertex id out of range in edge (1, 3)"),
+    ("graph 2 1\r\n1 3\r\n", "line 2: vertex id out of range in edge (1, 3)"),
+    ("graph 2 1\r1 3\r", "line 2: vertex id out of range in edge (1, 3)"),
+    # a form feed does not end a comment
+    ("graph 3 1 # x\f1 2\n1 4\n", "line 2: vertex id out of range in edge (1, 4)"),
+]
+
+
+@pytest.mark.parametrize("text, message", MALFORMED, ids=[text for text, _ in MALFORMED])
+def test_graph_parse_rejects_malformed(text, message):
+    with pytest.raises(FormatError) as caught:
         parse_graph(text)
+    assert str(caught.value) == message
+
+
+def test_graph_parse_ends_lines_only_at_cr_and_lf():
+    expected = Graph.build(3, [(1, 2), (2, 3)])
+    for text in (
+        "graph 3 2\r\n1 2\r\n2 3\r\n",
+        "graph 3 2\r1 2\r2 3\r",
+        "graph\f3\v2\n1\x852\n2\u20283\n",
+        "graph 3 2 # x\f1 3\n1 2\n2 3\n",
+    ):
+        assert parse_graph(text) == expected, text
 
 
 def test_graph_constructors_reject_bad_edges():

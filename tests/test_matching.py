@@ -34,21 +34,39 @@ def test_parse_accepts_comments_and_reversed_pairs():
     assert m == Matching([2, 1, 3])
 
 
-@pytest.mark.parametrize(
-    "text, n",
-    [
-        ("1 2\n2 3\n", 3),  # player 2 twice: not an involution
-        ("1 2\n", 3),  # player 3 dangling
-        ("1 2\n3 -\n1 -\n", 3),  # repeated player
-        ("1 1\n2 -\n", 2),  # self pair
-        ("1 4\n2 3\n", 3),  # out of range
-        ("1\n", 1),  # bad arity
-        ("a b\n", 2),  # not numbers
-    ],
-)
-def test_parse_rejects_malformed(text, n):
-    with pytest.raises(FormatError):
+INVOLUTION = "appears more than once (matching must be an involution)"
+MALFORMED = [
+    ("1 2\n2 3\n", 3, f"line 2: player 2 {INVOLUTION}"),
+    ("1 2\n", 3, "player 3 is missing from the matching"),
+    ("1 2\n3 -\n1 -\n", 3, f"line 3: player 1 {INVOLUTION}"),
+    ("1 1\n2 -\n", 2, "line 1: a player cannot pair with itself; use '-'"),
+    ("1 4\n2 3\n", 3, "line 1: player id 4 out of range"),
+    ("1\n", 1, "line 1: expected 'i j' or 'i -'"),
+    ("a b\n", 2, "line 1: bad player id 'a'"),
+    # an id is an optional sign and ASCII digits
+    ("1 2_0\n", 2, "line 1: bad player id '2_0'"),
+    ("\u0661 -\n", 1, "line 1: bad player id '\u0661'"),
+    # a comment-only line, a blank line and line ends each count as one line
+    ("# pairs\n1 4\n", 3, "line 2: player id 4 out of range"),
+    ("1 2\n\n3 4\n", 3, "line 3: player id 4 out of range"),
+    ("1 2\r\n3 4\r\n", 3, "line 2: player id 4 out of range"),
+    ("1 2\r3 4\r", 3, "line 2: player id 4 out of range"),
+    # a form feed does not end a comment
+    ("1 2 # x\f3 4\n5 -\n", 3, "line 2: player id 5 out of range"),
+]
+
+
+@pytest.mark.parametrize("text, n, message", MALFORMED, ids=[f"{t}-{n}" for t, n, _ in MALFORMED])
+def test_parse_rejects_malformed(text, n, message):
+    with pytest.raises(FormatError) as caught:
         parse_matching(text, n)
+    assert str(caught.value) == message
+
+
+def test_parse_ends_lines_only_at_cr_and_lf():
+    expected = Matching([2, 1, 3])
+    for text in ("1 2\r\n3 -\r\n", "1 2\r3 -\r", "1\f2\n3\v-\n", "# x\f3 4\n1 2\n3 -\n"):
+        assert parse_matching(text, 3) == expected, text
 
 
 def test_missing_player_fails_fast_on_huge_size():

@@ -87,6 +87,21 @@ MALFORMED = [
     ("roommate 3\n1: ( 2 self ) self\n2:\n3:\n", "line 2: 'self' appears more than once"),
     ("roommate 3\n1: ( 2 self self )\n2:\n3:\n", "line 2: 'self' appears more than once"),
     ("roommate 3\n1: ( 3 2 3 )\n2:\n3:\n", "line 2: duplicate entry 3 in list of player 1"),
+    # an id or a count is an optional sign and ASCII digits
+    ("roommate 3\n1: 2 1_0\n2:\n3:\n", "line 2: unexpected token '1_0'"),
+    ("roommate 3\n1: 2 \u0663\n2:\n3:\n", "line 2: unexpected token '\u0663'"),
+    # such a token is named before any other error on its line
+    ("roommate 3\n1: 1 ( 2 x_\n2:\n3:\n", "line 2: unexpected token 'x_'"),
+    ("roommate 2\n1_0: 2\n2:\n", "line 2: bad player id '1_0'"),
+    ("roommate 2\n\u0661: 2\n2:\n", "line 2: bad player id '\u0661'"),
+    ("roommate 1_0\n", "line 1: non-numeric player count in header"),
+    ("marriage 1 \u0661\n", "line 1: non-numeric player count in header"),
+    # a comment-only line, a blank line and line ends each count as one line
+    ("# r\nroommate 2\n\n1: 3\n2:\n", "line 4: player id 3 out of range"),
+    ("roommate 2\r\n# r\r\n1: 3\r\n2:\r\n", "line 3: player id 3 out of range"),
+    ("roommate 2\r# r\r1: 3\r2:\r", "line 3: player id 3 out of range"),
+    # a form feed does not end a comment
+    ("roommate 2\n1: # x\f2: 1\n2: 3\n", "line 3: player id 3 out of range"),
 ]
 
 
@@ -102,6 +117,25 @@ def test_parse_reads_noncanonical_ids_as_canonical():
     written = "marriage 2 2\n01: 03 ( +4 self )\n2: +3 004\n3: 02 ( 1 self )\n04: ( 1 0002 )\n"
     assert parse_instance(written) == parse_instance(canonical)
     assert serialize_instance(parse_instance(written)) == canonical
+
+
+def test_parse_ends_lines_only_at_cr_and_lf():
+    expected = parse_instance("roommate 3\n1: 2 3\n2: 1\n3:\n")
+    for text in (
+        "roommate 3\r\n1: 2 3\r\n2: 1\r\n3:\r\n",
+        "roommate 3\r1: 2 3\r2: 1\r3:\r",
+        # the other breaks that str.splitlines knows separate entries
+        "roommate\f3\n1: 2\v3\x1c\n2:\x1d1\x1e\x85\n3:\u2028\u2029\n",
+        "roommate 3\n1: 2 3 # x\f2: 3\n2: 1\n3:\n",
+    ):
+        assert parse_instance(text) == expected, text
+
+
+def test_parse_splits_entries_on_non_ascii_whitespace():
+    # A line that is not ASCII is checked token by token, but U+00A0 between
+    # entries still separates them.
+    game = parse_instance("roommate 3\n1:\xa02\xa0(\xa03\xa0self )\n2: 1\n3:\n")
+    assert game == parse_instance("roommate 3\n1: 2 ( 3 self )\n2: 1\n3:\n")
 
 
 def test_parse_shares_one_int_per_id():
