@@ -257,11 +257,12 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     # random_game draws a number per candidate pair whatever --accept-prob
     # is, and lists each pair with that probability (surely under
     # --complete), so a request too slow to draw or too large to hold is
-    # refused before any draw.  Negative counts are left to random_game's
-    # own check.
+    # refused before any draw.  Negative counts and probabilities outside
+    # [0, 1] are left to random_game's own checks, which precede any draw.
     pairs = args.n * (args.n - 1) if args.kind == ROOMMATE else 2 * args.men * args.women
     entries = pairs * (1.0 if args.complete else args.accept_prob)
-    if min(args.n, args.men, args.women) >= 0:
+    counts_ok = min(args.n, args.men, args.women) >= 0
+    if counts_ok and 0 <= args.accept_prob <= 1 and 0 <= args.tie_prob <= 1:
         if pairs > MAX_GEN_PAIRS:
             raise PreconditionError(
                 f"{pairs} candidate pairs exceed the limit of {MAX_GEN_PAIRS}"

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
+from ._frozen import Frozen
 from .errors import FormatError, _int, _lines
 from .model import Game
 
 
-class Matching:
+class Matching(Frozen):
     """A partition of players ``1..n`` into pairs and singletons.
 
     Stored as a self-inverse partner map: ``partner_of(i) == i`` encodes a
@@ -25,13 +26,13 @@ class Matching:
                 raise ValueError(f"partner {j} of player {i} out of range")
             if p[j - 1] != i:
                 raise ValueError(f"partner map is not an involution at player {i}")
-        self._partner = p
+        Frozen.__init__(self, p)
 
     @classmethod
     def _trusted(cls, partner: tuple[int, ...]) -> Matching:
         """Wrap a partner tuple that is already an involution, unchecked."""
         matching = cls.__new__(cls)
-        matching._partner = partner
+        object.__setattr__(matching, "_partner", partner)
         return matching
 
     @classmethod
@@ -82,12 +83,6 @@ class Matching:
             p[mover - 1] = target
             p[target - 1] = mover
         return Matching._trusted(tuple(p))
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Matching) and self._partner == other._partner
-
-    def __hash__(self) -> int:
-        return hash(self._partner)
 
     def __repr__(self) -> str:
         cells = " ".join(

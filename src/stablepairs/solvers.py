@@ -108,7 +108,6 @@ from .stability import (
     DeviationWitness,
     _consent,
     _move_targets,
-    _player_deviation,
     find_violation,
     is_stable,
 )
@@ -167,7 +166,7 @@ def _moves(
     dirty = bytearray(1) + b"\x01" * game.n
     lo = 1
     while (i := dirty.find(1, lo)) > 0:
-        target = _player_deviation(profile, partner, profile[i - 1], need_target, need_left)
+        target = next(_move_targets(profile, partner, profile[i - 1], need_target, need_left), None)
         if target is None:
             dirty[i] = 0
             lo = i + 1

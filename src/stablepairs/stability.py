@@ -80,26 +80,11 @@ def find_deviation(
     profile = game.profile
     partner_of = _partners(game, matching)
     for pl in profile:
-        target = _player_deviation(profile, partner_of, pl, need_target, need_left)
+        target = next(_move_targets(profile, partner_of, pl, need_target, need_left), None)
         if target is not None:
             i = pl.owner
             return DeviationWitness(i, None if target == i else target, concept)
     return None
-
-
-def _player_deviation(
-    profile: tuple[PreferenceList, ...],
-    partner_of: tuple[int, ...] | list[int],
-    pl: PreferenceList,
-    need_target: bool,
-    need_left: bool,
-) -> int | None:
-    """The most preferred consented move of player ``pl.owner``, or ``None``.
-
-    The first move :func:`_move_targets` yields: a target's id, or the
-    player's own id for going alone.
-    """
-    return next(_move_targets(profile, partner_of, pl, need_target, need_left), None)
 
 
 def _move_targets(
@@ -112,7 +97,8 @@ def _move_targets(
     """The profitable consented moves of player ``pl.owner``, best first.
 
     ``partner_of[j - 1]`` is player ``j``'s partner.  Yields each single
-    player the owner would join, then its own id if it would go alone.  The
+    player the owner would join, then its own id if it would go alone; the
+    first move yielded is the owner's deviation, if it has one.  The
     moves depend only on the owner's partner, that partner's rank of the
     owner, and which of the players it lists are single; with all of them
     single, this yields every target the owner could take from its partner.

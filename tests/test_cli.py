@@ -280,6 +280,21 @@ def test_gen_refuses_too_many_expected_list_entries(capsys, monkeypatch):
     assert len(drawn) == 3
 
 
+def test_gen_names_a_bad_probability_before_sizing_the_request(capsys):
+    # random_game's range checks run before any draw; the size bounds would
+    # otherwise report an entry count built from the bad probability.
+    for argv, name in (
+        (("roommate", "--n", "3", "--accept-prob", "1e308"), "acceptability_probability"),
+        (("roommate", "--n", "2000", "--accept-prob", "1.5"), "acceptability_probability"),
+        (("roommate", "--n", "3", "--accept-prob", "nan"), "acceptability_probability"),
+        (("roommate", "--n", "100000", "--tie-prob", "-0.5"), "tie_probability"),
+        (("marriage", "--men", "1000", "--women", "1001", "--tie-prob", "2"), "tie_probability"),
+    ):
+        code, out, err = run(capsys, "gen", *argv)
+        assert code == 2 and out == "", argv
+        assert err == f"error: {name} must lie in [0, 1]\n", argv
+
+
 @pytest.mark.parametrize(
     "header",
     ["marriage 2 1\n1: 2\n2:\n3:\n", "marriage 0 2\n1: 2\n2:\n"],

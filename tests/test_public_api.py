@@ -59,6 +59,7 @@ RECORD_SLOTS = {
     "Game": ("n", "profile", "kind", "num_men"),
     "Graph": ("n", "edges"),
     "ReductionArtifact": ("game", "roles", "graph", "n", "k", "r"),
+    "Matching": ("_partner",),
 }
 
 

@@ -77,6 +77,7 @@ def _records() -> dict[type, tuple[object, tuple[str, ...]]]:
             ),
         ),
         Graph: (artifact.graph, ("n", "edges")),
+        Matching: (compute_cns(game).matching, ("_partner",)),
         PlayerRole: (role, ("kind", "vertex", "gadget", "layer")),
         ReductionArtifact: (artifact, ("game", "roles", "graph", "n", "k", "r")),
         DeviationWitness: (witness, ("mover", "target", "concept")),
@@ -134,6 +135,23 @@ def test_frozen_records_compare_only_with_their_own_class():
     fields = (game.n, game.profile, game.kind, game.num_men)
     assert graph != game and not graph == game
     assert game != fields and fields != game and not game == fields
+    matching, _ = RECORDS[Matching]
+    assert matching != matching.as_tuple() and not matching == matching.as_tuple()
+
+
+def test_matching_is_a_frozen_record():
+    m = Matching([2, 1, 3])
+    before = hash(m)
+    assert m == Matching((2, 1, 3)) and hash(m) == hash(Matching((2, 1, 3)))
+    assert m != Matching([1, 2, 3])
+    with pytest.raises(AttributeError):
+        m._partner = (1, 2, 3)
+    with pytest.raises(AttributeError):
+        del m._partner
+    assert m.as_tuple() == (2, 1, 3) and hash(m) == before
+    # Unpickling rebuilds through the validating constructor.
+    with pytest.raises(ValueError, match="not an involution at player 1"):
+        pickle.loads(pickle.dumps(Matching._trusted((2, 2))))
 
 
 def test_reprs_rebuild_the_record():

@@ -38,7 +38,7 @@ from stablepairs import (
 from stablepairs import Graph, cli, max_matching, solvers
 from stablepairs.model import GenParams
 from stablepairs.solvers import _earlier_twins, _run_search, _table_stable, _target_table
-from stablepairs.stability import _player_deviation
+from stablepairs.stability import _move_targets
 from support import (
     CYCLIC3,
     SMALL_GRAPHS,
@@ -584,11 +584,11 @@ def _bits(moves: tuple[int, ...]) -> int:
 def test_move_targets_match_the_definitions():
     # The table lists each player's moves as if everyone else were single;
     # in any matching, the first listed move that is open must be the one
-    # the definitions and _player_deviation give.  Random matchings, unlike
-    # search leaves, pair players that one member would leave for being
-    # alone unvetoed (rule (b) keeps such pairs out of the search), so only
-    # here does the going-alone entry, 0, decide a verdict.  The corpus must
-    # hold plenty of matchings where nothing else does.
+    # the definitions give, and the first that _move_targets yields.  Random
+    # matchings, unlike search leaves, pair players that one member would
+    # leave for being alone unvetoed (rule (b) keeps such pairs out of the
+    # search), so only here does the going-alone entry, 0, decide a verdict.
+    # The corpus must hold plenty of matchings where nothing else does.
     rng = random.Random(7)
     alone_only = 0
     for _ in range(400):
@@ -616,8 +616,8 @@ def test_move_targets_match_the_definitions():
                     move = definitional_move(game, partner_of, i, concept)
                     listed = next((t or i for t in targets[i][pi[i]] if pi[t] == t), None)
                     assert listed == move, (game, concept, partner_of, i)
-                    assert _player_deviation(
-                        profile, partner_of, pl, need_target, need_left
+                    assert next(
+                        _move_targets(profile, partner_of, pl, need_target, need_left), None
                     ) == move
                     moves.append(move)
                 stable = is_stable(game, matching, concept)
@@ -755,14 +755,14 @@ def test_cns_rechecks_only_players_a_move_touched(monkeypatch):
         kind="roommate", n=3000, acceptability_probability=0.003, tie_probability=0.3, seed=1
     ))
     calls = 0
-    evaluate = solvers._player_deviation
+    evaluate = solvers._move_targets
 
     def counted(*args):
         nonlocal calls
         calls += 1
         return evaluate(*args)
 
-    monkeypatch.setattr(solvers, "_player_deviation", counted)
+    monkeypatch.setattr(solvers, "_move_targets", counted)
     report = compute_cns(game)
     in_degree = max(map(len, solvers._listers(game)))
     assert report.deviation_count > 1000
@@ -771,7 +771,7 @@ def test_cns_rechecks_only_players_a_move_touched(monkeypatch):
 
 def test_missed_deviation_fails_the_final_check(monkeypatch):
     # An engine that overlooks every deviation must not report a stable end.
-    monkeypatch.setattr(solvers, "_player_deviation", lambda *args: None)
+    monkeypatch.setattr(solvers, "_move_targets", lambda *args: iter(()))
     game = parse_instance(CYCLIC3)
     with pytest.raises(InternalCheckError):
         compute_cns(game)
@@ -796,7 +796,7 @@ BROKEN_PRODUCERS = [
      "roommate 2\n1: 2\n2:\n", Concept.NS, DeviationWitness(2, None, Concept.NS)),
     ("_better_response", lambda game, *args: SolverReport(Matching([2, 1]), 0, 0.0),
      compute_cis_ir, "roommate 2\n1: 2\n2:\n", Concept.IR, PairBlockWitness(2, 2)),
-    ("_player_deviation", lambda *args: None, compute_cns,
+    ("_move_targets", lambda *args: iter(()), compute_cns,
      CYCLIC3, Concept.CNS, DeviationWitness(1, 2, Concept.CNS)),
 ]
 
