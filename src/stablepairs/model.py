@@ -82,34 +82,37 @@ class PreferenceList(Frozen):
             raise ValueError("self_tier out of range")
         order: list[int] = []
         ranks: dict[int, int] = {}
-        num_acceptable = 0
         for t, tier in enumerate(tiers):
             members = sorted(tier)
             order.extend(members)
             ranks.update(dict.fromkeys(members, t if self_tied or t < self_tier else t + 1))
-            if t < self_tier + self_tied:
-                num_acceptable = len(order)
-        bottom = len(tiers) + (not self_tied)
-        Frozen.__init__(
-            self, owner, tuple(order), MappingProxyType(ranks), self_tier, bottom, num_acceptable
-        )
+        self._store(owner, tuple(order), ranks, self_tier)
 
     @classmethod
     def _compiled(
-        cls,
-        owner: int,
-        order: tuple[int, ...],
-        ranks: dict[int, int],
-        self_rank: int,
-        bottom_rank: int,
-        num_acceptable: int,
+        cls, owner: int, order: tuple[int, ...], ranks: dict[int, int], self_rank: int
     ) -> PreferenceList:
-        """Wrap an already compiled order; the caller has validated it."""
-        pl = cls.__new__(cls)
-        Frozen.__init__(
-            pl, owner, order, MappingProxyType(ranks), self_rank, bottom_rank, num_acceptable
-        )
-        return pl
+        """Wrap an already compiled order; the caller has validated it.
+
+        ``order`` is grouped by ascending rank, ids ascending within a slot;
+        ``ranks`` has exactly the players in ``order`` as keys; ``self_rank``
+        is a slot number.
+        """
+        return cls.__new__(cls)._store(owner, order, ranks, self_rank)
+
+    def _store(
+        self, owner: int, order: tuple[int, ...], ranks: dict[int, int], self_rank: int
+    ) -> PreferenceList:
+        """Store a compiled order, derive ``bottom_rank`` and ``num_acceptable``, return self.
+
+        This reads three invariants: ``order`` is grouped by ascending rank, ids
+        ascending within a slot; ``ranks`` has exactly the players in ``order``
+        as keys; ``self_rank`` is a slot number.
+        """
+        bottom = max(ranks[order[-1]] if order else 0, self_rank) + 1
+        acceptable = bisect_right(order, self_rank, key=ranks.__getitem__)
+        Frozen.__init__(self, owner, order, MappingProxyType(ranks), self_rank, bottom, acceptable)
+        return self
 
     def __hash__(self) -> int:
         return hash((self.owner, self.order, self.self_rank, self.bottom_rank, self.num_acceptable))
@@ -319,10 +322,7 @@ def random_game(params: GenParams) -> Game:
             listed.extend(run)
             for j in run:
                 ranks[j] = r
-        self_rank = len(runs) - 1 if tied else len(runs)
-        profile.append(
-            PreferenceList._compiled(i, tuple(listed), ranks, self_rank, self_rank + 1, len(listed))
-        )
+        profile.append(PreferenceList._compiled(i, tuple(listed), ranks, len(runs) - tied))
 
     return Game(n, tuple(profile), params.kind, m)
 
@@ -401,36 +401,28 @@ def _parse_entries(
     ranks: dict[int, int] = {}  # filled as ids are read, so it also finds duplicates
     slot = 0  # rank of the slot being read
     group: list[int] | None = None
-    group_has_self = False
     self_rank: int | None = None
-    num_acceptable = 0
 
     for token in tokens:
         if token == "(":
             if group is not None:
                 raise FormatError("nested tie group", lineno)
             group = []
-            group_has_self = False
         elif token == ")":
             if group is None:
                 raise FormatError("')' without matching '('", lineno)
-            if not group and not group_has_self:
+            # A group keeps its slot until here, so it holds 'self' iff self_rank == slot.
+            if not group and self_rank != slot:
                 raise FormatError("empty tie group", lineno)
             group.sort()
             order.extend(group)
-            if group_has_self:
-                self_rank = slot
-                num_acceptable = len(order)
             slot += 1
             group = None
         elif token == _SELF_TOKEN:
-            if self_rank is not None or (group is not None and group_has_self):
+            if self_rank is not None:
                 raise FormatError("'self' appears more than once", lineno)
-            if group is not None:
-                group_has_self = True
-            else:
-                self_rank = slot
-                num_acceptable = len(order)
+            self_rank = slot
+            if group is None:
                 slot += 1
         else:
             try:
@@ -449,9 +441,8 @@ def _parse_entries(
 
     if group is not None:
         raise FormatError("unclosed tie group", lineno)
-    if self_rank is None:
-        return PreferenceList._compiled(owner, tuple(order), ranks, slot, slot + 1, len(order))
-    return PreferenceList._compiled(owner, tuple(order), ranks, self_rank, slot, num_acceptable)
+    self_rank = slot if self_rank is None else self_rank
+    return PreferenceList._compiled(owner, tuple(order), ranks, self_rank)
 
 
 def _reject_id(j: int, owner: int, ranks: dict[int, int], n: int, lineno: int) -> None:
@@ -473,18 +464,15 @@ def serialize_instance(game: Game) -> str:
         out = [f"marriage {game.num_men} {game.num_women}"]
     names = [str(j) for j in range(game.n + 1)]
     for pl in game.profile:
-        # One part per rank slot.  Being alone is its own slot unless a group
-        # has its rank; a trailing bare 'self' is the default and is left out.
+        # One part per rank slot.  An untied 'self' has slot self_rank, so it goes before
+        # group number self_rank; a trailing bare 'self' is the default and is left out.
         parts: list[str] = []
-        alone_placed = False
-        for rank, group in groupby(pl.order, pl.ranks.__getitem__):
+        for g, (rank, group) in enumerate(groupby(pl.order, pl.ranks.__getitem__)):
             tokens = [names[j] for j in group]
             if rank == pl.self_rank:
                 tokens.append(_SELF_TOKEN)
-                alone_placed = True
-            elif rank > pl.self_rank and not alone_placed:
+            elif g == pl.self_rank:
                 parts.append(_SELF_TOKEN)
-                alone_placed = True
             parts.append(tokens[0] if len(tokens) == 1 else "( " + " ".join(tokens) + " )")
         owner = names[pl.owner]
         out.append(f"{owner}: " + " ".join(parts) if parts else f"{owner}:")

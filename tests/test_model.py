@@ -27,6 +27,7 @@ from support import (
     CYCLIC3,
     SMALL_GRAPHS,
     definitional_mutual,
+    random_listed_game,
     random_marriage,
     random_roommate,
 )
@@ -60,6 +61,19 @@ def test_parse_bare_self_midway():
     assert pl.rank_of(3) > pl.self_rank
 
 
+@pytest.mark.parametrize(
+    "grouped, bare, slots",
+    [("( self )", "self", (0, 1, 0)), ("2 ( self ) 3", "2 self 3", (1, 3, 1))],
+)
+def test_parse_reads_self_alone_in_a_group_as_bare_self(grouped, bare, slots):
+    game = parse_instance(f"roommate 3\n1: {grouped}\n2:\n3:\n")
+    expected = parse_instance(f"roommate 3\n1: {bare}\n2:\n3:\n")
+    assert game == expected  # every compiled field of every list
+    assert serialize_instance(game) == serialize_instance(expected)
+    pl = game.prefs(1)
+    assert (pl.self_rank, pl.bottom_rank, pl.num_acceptable) == slots
+
+
 MALFORMED = [
     ("roommate 3\n1: 2 2\n2: 1\n3:\n", "line 2: duplicate entry 2 in list of player 1"),
     ("roommate 3\n1: 2 ( 3 2 )\n2: 1\n3:\n", "line 2: duplicate entry 2 in list of player 1"),
@@ -86,6 +100,10 @@ MALFORMED = [
     ("roommate 3\n1: ( 2 ( 3 ) )\n2:\n3:\n", "line 2: nested tie group"),
     ("roommate 3\n1: ( 2 self ) self\n2:\n3:\n", "line 2: 'self' appears more than once"),
     ("roommate 3\n1: ( 2 self self )\n2:\n3:\n", "line 2: 'self' appears more than once"),
+    ("roommate 3\n1: self ( self )\n2:\n3:\n", "line 2: 'self' appears more than once"),
+    # a group holding only 'self' is not empty, but the next group is
+    ("roommate 3\n1: ( self ) ( )\n2:\n3:\n", "line 2: empty tie group"),
+    ("roommate 3\n1: self ( )\n2:\n3:\n", "line 2: empty tie group"),
     ("roommate 3\n1: ( 3 2 3 )\n2:\n3:\n", "line 2: duplicate entry 3 in list of player 1"),
     # an id or a count is an optional sign and ASCII digits
     ("roommate 3\n1: 2 1_0\n2:\n3:\n", "line 2: unexpected token '1_0'"),
@@ -258,6 +276,13 @@ def test_roundtrip_random_instances():
     for seed in range(120):
         game = random_roommate(seed) if seed % 2 else random_marriage(seed)
         assert parse_instance(serialize_instance(game)) == game
+    # random_game always lists 'self' last; these put it anywhere, tied or not.
+    rng = random.Random(24)
+    for _ in range(300):
+        game = random_listed_game(rng)
+        assert parse_instance(serialize_instance(game)) == game
+        for pl in game.profile:
+            assert pl == PreferenceList(pl.owner, pl.tiers, pl.self_tier, pl.self_tied)
 
 
 def test_roundtrip_keeps_self_position():
