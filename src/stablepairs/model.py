@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from collections import namedtuple
+from collections.abc import Callable
 from itertools import groupby
 from types import MappingProxyType
 
@@ -370,24 +371,36 @@ def parse_instance(text: str) -> Game:
         if i not in lines:
             raise FormatError(f"missing preference line for player {i}")
 
-    # One int object per player id, shared by every list that names it.
+    # One int object per player id, shared by every list that names it.  A side's
+    # lookup maps the printed id of each of its potential partners to that int.
     ids = list(range(n + 1))
+    names = list(map(str, ids))
+
+    def partners(lo: int, hi: int) -> tuple[int, int, Callable[[str], int | None]]:
+        return lo, hi, dict(zip(names[lo : hi + 1], ids[lo : hi + 1])).get
+
+    if kind == MARRIAGE:
+        of_man, of_woman = partners(m + 1, n), partners(1, m)
+    else:
+        of_man = of_woman = partners(1, n)
+    # Each line is taken out as it is compiled, so its text is freed as the game grows.
     profile = [
-        _parse_entries(owner, *lines[owner], n, m if kind == MARRIAGE else None, ids)
+        _parse_entries(owner, *lines.pop(owner), n, *(of_man if owner <= m else of_woman))
         for owner in ids[1:]
     ]
     return Game(n, tuple(profile), kind, m)
 
 
 def _parse_entries(
-    owner: int, lineno: int, rhs: str, n: int, m: int | None, ids: list[int]
+    owner: int, lineno: int, rhs: str, n: int, lo: int, hi: int, lookup: Callable[[str], int | None]
 ) -> PreferenceList:
     """Check one entry list token by token and compile it straight into ranks.
 
     Each top-level id, tie group and bare ``self`` is one rank slot; ids in
-    a group share the group's slot.  ``m`` is the number of men (possibly
-    0), None for a roommate game.  ``ids[j]`` is the game's shared int for
-    player ``j``.
+    a group share the group's slot.  The owner's potential partners are
+    exactly the ids in ``lo..hi``, less itself.  ``lookup(token)`` is the
+    game's shared int for a token that spells such an id as the printer
+    does, and None for any other token, which then takes the full checks.
     """
     tokens = rhs.replace("(", " ( ").replace(")", " ) ").split()
     # An id is ASCII and has no '_'; only a line that breaks that is walked.
@@ -395,8 +408,6 @@ def _parse_entries(
         for token in tokens:
             if "_" in token or not token.isascii():
                 raise FormatError(f"unexpected token {token!r}", lineno)
-    # The owner's potential partners are exactly the ids in lo..hi, less itself.
-    lo, hi = (1, n) if m is None else (m + 1, n) if owner <= m else (1, m)
     order: list[int] = []
     ranks: dict[int, int] = {}  # filled as ids are read, so it also finds duplicates
     slot = 0  # rank of the slot being read
@@ -404,10 +415,15 @@ def _parse_entries(
     self_rank: int | None = None
 
     for token in tokens:
-        if token == "(":
+        j = lookup(token)
+        if j is not None:
+            if j == owner or j in ranks:
+                _reject_id(j, owner, ranks, n, lineno)
+        elif token == "(":
             if group is not None:
                 raise FormatError("nested tie group", lineno)
             group = []
+            continue
         elif token == ")":
             if group is None:
                 raise FormatError("')' without matching '('", lineno)
@@ -418,12 +434,14 @@ def _parse_entries(
             order.extend(group)
             slot += 1
             group = None
+            continue
         elif token == _SELF_TOKEN:
             if self_rank is not None:
                 raise FormatError("'self' appears more than once", lineno)
             self_rank = slot
             if group is None:
                 slot += 1
+            continue
         else:
             try:
                 j = int(token)
@@ -431,13 +449,13 @@ def _parse_entries(
                 raise FormatError(f"unexpected token {token!r}", lineno) from None
             if not lo <= j <= hi or j == owner or j in ranks:
                 _reject_id(j, owner, ranks, n, lineno)
-            j = ids[j]
-            ranks[j] = slot
-            if group is not None:
-                group.append(j)
-            else:
-                order.append(j)
-                slot += 1
+            j = lookup(str(j))
+        ranks[j] = slot
+        if group is not None:
+            group.append(j)
+        else:
+            order.append(j)
+            slot += 1
 
     if group is not None:
         raise FormatError("unclosed tie group", lineno)
@@ -464,16 +482,30 @@ def serialize_instance(game: Game) -> str:
         out = [f"marriage {game.num_men} {game.num_women}"]
     names = [str(j) for j in range(game.n + 1)]
     for pl in game.profile:
-        # One part per rank slot.  An untied 'self' has slot self_rank, so it goes before
-        # group number self_rank; a trailing bare 'self' is the default and is left out.
+        # One part per rank slot, a run of equal rank in order.  An untied 'self' has slot
+        # self_rank, so it goes before group number self_rank; a trailing bare 'self' is
+        # the default and is left out.
+        order, self_rank = pl.order, pl.self_rank
+        ranks = list(map(pl.ranks.__getitem__, order))
         parts: list[str] = []
-        for g, (rank, group) in enumerate(groupby(pl.order, pl.ranks.__getitem__)):
-            tokens = [names[j] for j in group]
-            if rank == pl.self_rank:
-                tokens.append(_SELF_TOKEN)
-            elif g == pl.self_rank:
+        end = len(order)
+        i = g = 0
+        while i < end:
+            rank = ranks[i]
+            k = i + 1
+            while k < end and ranks[k] == rank:
+                k += 1
+            if rank != self_rank and g == self_rank:
                 parts.append(_SELF_TOKEN)
-            parts.append(tokens[0] if len(tokens) == 1 else "( " + " ".join(tokens) + " )")
+            if rank != self_rank and k == i + 1:
+                parts.append(names[order[i]])
+            else:
+                tokens = [names[j] for j in order[i:k]]
+                if rank == self_rank:
+                    tokens.append(_SELF_TOKEN)
+                parts.append("( " + " ".join(tokens) + " )")
+            i = k
+            g += 1
         owner = names[pl.owner]
         out.append(f"{owner}: " + " ".join(parts) if parts else f"{owner}:")
     return "\n".join(out) + "\n"

@@ -6,7 +6,8 @@ exhaustive search, stability counts from filtering this module's own
 unrestricted enumeration of matchings through the definitional verifiers,
 maximality from a direct edge scan, subdivisions from their definition,
 better-response dynamics from a full verifier scan after every move, and
-preference ranks and acceptability from the public tier fields alone.
+preference ranks, acceptability and printed instances from the public tier
+fields alone.
 """
 
 from __future__ import annotations
@@ -210,6 +211,31 @@ def random_listed_game(rng: random.Random) -> Game:
         text = " ".join(t[0] if len(t) == 1 else "( " + " ".join(t) + " )" for t in tiers)
         lines.append(f"{i}: {text}")
     return parse_instance("\n".join(lines) + "\n")
+
+
+def printed_instance(game: Game) -> str:
+    """The instance text of ``game``, built from ``tiers``/``self_tier``/``self_tied`` alone.
+
+    One entry per tier, a bare id or ``( ... )`` with ids ascending.  ``self``
+    joins ``tiers[self_tier]`` when ``self_tied``, and otherwise stands just
+    before it, or is left out when no tier follows it.
+    """
+    if game.is_marriage:
+        lines = [f"marriage {game.num_men} {game.num_women}"]
+    else:
+        lines = [f"roommate {game.n}"]
+    for pl in game.profile:
+        entries = []
+        for t, tier in enumerate(pl.tiers):
+            names = [str(j) for j in sorted(tier)]
+            if t == pl.self_tier:
+                if pl.self_tied:
+                    names.append("self")
+                else:
+                    entries.append("self")
+            entries.append(names[0] if len(names) == 1 else "( " + " ".join(names) + " )")
+        lines.append(" ".join([f"{pl.owner}:", *entries]))
+    return "\n".join(lines) + "\n"
 
 
 def naive_stable_count(

@@ -27,6 +27,7 @@ from support import (
     CYCLIC3,
     SMALL_GRAPHS,
     definitional_mutual,
+    printed_instance,
     random_listed_game,
     random_marriage,
     random_roommate,
@@ -105,6 +106,11 @@ MALFORMED = [
     ("roommate 3\n1: ( self ) ( )\n2:\n3:\n", "line 2: empty tie group"),
     ("roommate 3\n1: self ( )\n2:\n3:\n", "line 2: empty tie group"),
     ("roommate 3\n1: ( 3 2 3 )\n2:\n3:\n", "line 2: duplicate entry 3 in list of player 1"),
+    # a printed id and another spelling of it take different paths to the same errors
+    ("roommate 3\n1: 2 02\n2:\n3:\n", "line 2: duplicate entry 2 in list of player 1"),
+    ("roommate 3\n1: 02 2\n2:\n3:\n", "line 2: duplicate entry 2 in list of player 1"),
+    ("roommate 2\n1: +1\n2:\n", "line 2: player 1 lists itself by id; use 'self'"),
+    ("marriage 2 1\n1: 02\n2: 3\n3: 1\n", "line 2: same-sex entry 2 in list of player 1"),
     # an id or a count is an optional sign and ASCII digits
     ("roommate 3\n1: 2 1_0\n2:\n3:\n", "line 2: unexpected token '1_0'"),
     ("roommate 3\n1: 2 \u0663\n2:\n3:\n", "line 2: unexpected token '\u0663'"),
@@ -275,12 +281,16 @@ def test_missing_player_line_fails_fast_on_huge_header():
 def test_roundtrip_random_instances():
     for seed in range(120):
         game = random_roommate(seed) if seed % 2 else random_marriage(seed)
-        assert parse_instance(serialize_instance(game)) == game
+        text = serialize_instance(game)
+        assert text == printed_instance(game)
+        assert parse_instance(text) == game
     # random_game always lists 'self' last; these put it anywhere, tied or not.
     rng = random.Random(24)
     for _ in range(300):
         game = random_listed_game(rng)
-        assert parse_instance(serialize_instance(game)) == game
+        text = serialize_instance(game)
+        assert text == printed_instance(game)
+        assert parse_instance(text) == game
         for pl in game.profile:
             assert pl == PreferenceList(pl.owner, pl.tiers, pl.self_tier, pl.self_tied)
 
