@@ -19,6 +19,7 @@ from .model import (
     ROOMMATE,
     Game,
     GenParams,
+    _game_size,
     has_no_unacceptability,
     parse_instance,
     random_game,
@@ -257,20 +258,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     # random_game draws a number per candidate pair whatever --accept-prob
     # is, and lists each pair with that probability (surely under
     # --complete), so a request too slow to draw or too large to hold is
-    # refused before any draw.  Negative counts and probabilities outside
-    # [0, 1] are left to random_game's own checks, which precede any draw.
-    pairs = args.n * (args.n - 1) if args.kind == ROOMMATE else 2 * args.men * args.women
-    entries = pairs * (1.0 if args.complete else args.accept_prob)
-    counts_ok = min(args.n, args.men, args.women) >= 0
-    if counts_ok and 0 <= args.accept_prob <= 1 and 0 <= args.tie_prob <= 1:
-        if pairs > MAX_GEN_PAIRS:
-            raise PreconditionError(
-                f"{pairs} candidate pairs exceed the limit of {MAX_GEN_PAIRS}"
-            )
-        if entries > MAX_LIST_ENTRIES:
-            raise PreconditionError(
-                f"{entries:.0f} expected list entries exceed the limit of {MAX_LIST_ENTRIES}"
-            )
+    # refused before any draw, once random_game's own checks pass.
     params = GenParams(
         kind=args.kind,
         n=args.n,
@@ -282,6 +270,15 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         complete=args.complete,
         seed=args.seed,
     )
+    n, m = _game_size(params)
+    pairs = n * (n - 1) if params.kind == ROOMMATE else 2 * m * (n - m)
+    entries = pairs * (1.0 if params.complete else params.acceptability_probability)
+    if pairs > MAX_GEN_PAIRS:
+        raise PreconditionError(f"{pairs} candidate pairs exceed the limit of {MAX_GEN_PAIRS}")
+    if entries > MAX_LIST_ENTRIES:
+        raise PreconditionError(
+            f"{entries:.0f} expected list entries exceed the limit of {MAX_LIST_ENTRIES}"
+        )
     game = random_game(params)
     print(
         f"# gen kind={params.kind} seed={params.seed} "

@@ -135,5 +135,6 @@ def serialize_matching(matching: Matching) -> str:
             out.append(f"{cell[0]} -")
         else:
             out.append(f"{cell[0]} {cell[1]}")
-    return "\n".join(out) + ("\n" if out else "")
+    out.append("")
+    return "\n".join(out)
 

@@ -254,8 +254,8 @@ class GenParams(
     __slots__ = ()
 
 
-def random_game(params: GenParams) -> Game:
-    """Deterministically sample a game; identical params give identical games."""
+def _game_size(params: GenParams) -> tuple[int, int]:
+    """``(n, num_men)`` for ``params``, once they pass :func:`random_game`'s checks."""
     if params.kind not in (ROOMMATE, MARRIAGE):
         raise ValueError(f"unknown game kind {params.kind!r}")
     if not 0.0 <= params.tie_probability <= 1.0:
@@ -268,14 +268,15 @@ def random_game(params: GenParams) -> Game:
         raise ValueError("n sizes a roommate game; a marriage game takes n_men and n_women")
     if params.kind == ROOMMATE and (params.n_men or params.n_women):
         raise ValueError("n_men and n_women size a marriage game; a roommate game takes n")
-
-    rng = random.Random(params.seed)
     if params.kind == ROOMMATE:
-        n = params.n
-        m = 0
-    else:
-        m = params.n_men
-        n = m + params.n_women
+        return params.n, 0
+    return params.n_men + params.n_women, params.n_men
+
+
+def random_game(params: GenParams) -> Game:
+    """Deterministically sample a game; identical params give identical games."""
+    n, m = _game_size(params)
+    rng = random.Random(params.seed)
 
     # One int object per player id, shared by every list that names it.
     ids = list(range(n + 1))
@@ -508,4 +509,5 @@ def serialize_instance(game: Game) -> str:
             g += 1
         owner = names[pl.owner]
         out.append(f"{owner}: " + " ".join(parts) if parts else f"{owner}:")
-    return "\n".join(out) + "\n"
+    out.append("")
+    return "\n".join(out)

@@ -72,13 +72,15 @@ transpositions.
 Count mode under NS, IS, CNS and CIS caches counted subtrees by their
 frontier, as #SAT counters cache components (Bacchus, Dalmao & Pitassi,
 FOCS 2003; Sang et al., SAT 2004).  Where frame ``k``, the lowest undecided
-player, would open, the key packs three masks into one int: ``dec``, the
-decided players, which fixes ``k``; ``moves & ~dec``; and ``single &
-reach[k]``, where ``reach[k]`` holds every target of a branch of a player
-``>= k``.  Nothing else is read below the node: decided players keep their
-partners, a decided single's bit of ``moves`` is clear, rule (e) tests a
-branch only against ``single`` over its targets and the undecided player's
-own bit of ``moves``, rule (d) is off, and every leaf reached is stable.
+player, would open, the key packs two masks into one int: ``dec``, the
+decided players, which fixes ``k``; and ``single & reach[k] | moves & ~dec``,
+where ``reach[k]`` holds every target of a branch of a player ``>= k``.
+``single`` (bit 0 too) lies within ``dec`` and ``moves & ~dec`` outside it,
+so given ``dec`` the union splits back into its two parts in one way only.
+Nothing else is read below the node: decided players keep their partners, a
+decided single's bit of ``moves`` is clear, rule (e) tests a branch only
+against ``single`` over its targets and the undecided player's own bit of
+``moves``, rule (d) is off, and every leaf reached is stable.
 So equal keys have equal stable counts.  A frame that runs out of branches
 stores its count; a hit adds it and counts as one node, and the first
 matching is unchanged, since a hit repeats a subtree searched earlier.
@@ -234,9 +236,9 @@ def gale_shapley(game: Game, proposers: str = "women") -> Matching:
 
     A player accepts every partner it ranks at or above being alone, so a
     partner tied with being alone counts as acceptable.  Proposers walk their
-    acceptable players in (rank, id) order; an unengaged acceptee takes any
-    proposal from a player it accepts, and an engaged one trades up iff the
-    proposer comes first in its (rank, id) order.  Output is the
+    acceptable players in (rank, id) order.  An acceptee holds the smallest
+    (rank, id) offer, at first ``(self_rank, n + 1)``: being alone, just
+    after its tie.  A displaced proposer proposes on.  Output is the
     proposer-optimal stable matching of the strict instance that breaks ties
     by lowest id and puts being alone just below the players tied with it,
     and admits no core block with respect to that instance.
@@ -246,33 +248,27 @@ def gale_shapley(game: Game, proposers: str = "women") -> Matching:
     if proposers not in ("men", "women"):
         raise ValueError("proposers must be 'men' or 'women'")
     profile = game.profile
-    side = sorted(game.men if proposers == "men" else game.women)
-    wishlist = {p: profile[p - 1].order[: profile[p - 1].num_acceptable] for p in side}
-    match = [0] * (game.n + 1)
-    cursor = dict.fromkeys(side, 0)
+    n = game.n
+    side = game.men if proposers == "men" else game.women
+    wishlist = {p: iter(profile[p - 1].order[: profile[p - 1].num_acceptable]) for p in side}
+    held = [(pl.self_rank, n + 1) for pl in profile]
+    match = list(range(n + 2))  # match[n + 1] absorbs the write for an empty hold
     free = deque(side)
     while free:
         p = free.popleft()
-        row = wishlist[p]
-        while cursor[p] < len(row):
-            q = row[cursor[p]]
-            cursor[p] += 1
+        for q in wishlist[p]:
             pq = profile[q - 1]
-            rq = pq.ranks
-            rank_p = rq.get(p, pq.bottom_rank)
-            cur = match[q]
-            if cur == 0:
-                if rank_p <= pq.self_rank:
-                    match[q] = p
-                    match[p] = q
-                    break
-            elif (rank_p, p) < (rq.get(cur, pq.bottom_rank), cur):
-                match[cur] = 0
-                free.append(cur)
-                match[q] = p
+            offer = (pq.ranks.get(p, pq.bottom_rank), p)
+            if offer < held[q - 1]:
+                cur = held[q - 1][1]
+                held[q - 1] = offer
+                match[cur] = cur
                 match[p] = q
+                match[q] = p
+                if cur <= n:
+                    free.append(cur)
                 break
-    return Matching(match[i] if match[i] else i for i in game.players())
+    return Matching(match[1:-1])
 
 
 def compute_is_marriage(game: Game) -> Matching:
@@ -490,8 +486,8 @@ def _earlier_twins(game: Game) -> list[int]:
 
 
 def _count_cache_cap(n: int) -> int:
-    """Most entries the count cache of an ``n``-player search stores: keys
-    of ``3(n + 1)`` bits, about 2 MiB of key bits in all."""
+    """Most entries the count cache of an ``n``-player search stores; keys
+    of ``2(n + 1)`` bits then take at most about 1.4 MiB."""
     return 2**24 // max(3 * (n + 1), 256)
 
 
@@ -579,7 +575,7 @@ def _run_search(
         hit = None
         if memo is not None and k <= n:
             dec = frame[i][0] | 1 << j
-            key = ((single & reach[k]) << n + 1 | moves & ~dec) << n + 1 | dec
+            key = (single & reach[k] | moves & ~dec) << n + 1 | dec
             hit = memo.get(key)
         if k <= n and hit is None:
             up[k] = i

@@ -115,13 +115,11 @@ def _move_targets(
         if left.self_rank > left.ranks.get(i, left.bottom_rank):
             return  # the abandoned partner would veto any move
     # Going alone is profitable when being alone ranks above the current
-    # coalition; it comes after every player ranked with or above it.
+    # coalition; it then ends the scan, after every player ranked with it.
     alone = self_rank < cur and partner != i
+    stop = self_rank + 1 if alone else cur
     for j in pl.order:
-        r = ranks[j]
-        if r >= cur:
-            break
-        if alone and r > self_rank:
+        if ranks[j] >= stop:
             break
         if partner_of[j - 1] == j:
             if need_target:

@@ -13,7 +13,7 @@ fields alone.
 from __future__ import annotations
 
 import random
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 
 from stablepairs import (
     Concept,
@@ -25,7 +25,6 @@ from stablepairs import (
     PreferenceList,
     ReductionArtifact,
     find_deviation,
-    is_stable,
     parse_instance,
     random_game,
 )
@@ -238,17 +237,68 @@ def printed_instance(game: Game) -> str:
     return "\n".join(lines) + "\n"
 
 
+def definitional_checker(game: Game, concept: Concept) -> Callable[[Matching], bool]:
+    """Whether a matching of ``game`` is ``concept``-stable, read off the definitions.
+
+    Ranks come from :func:`definitional_rank`, tabulated once per call.
+    NS, IS, CNS, CIS: no player gains by going alone or by joining a single
+    player; under IS and CIS that player must not become worse off, and
+    under CNS and CIS an abandoned partner who would become worse off
+    vetoes every move of the mover, going alone included.  IR: no player
+    ranks being alone above its coalition.  Core and strict core: no such
+    player blocks alone, and no two players both prefer each other to
+    their coalitions, strictly (core) or weakly and one strictly (strict
+    core).  Every player ranks an unlisted player below being alone, so a
+    same-side pair of a marriage game never blocks and no move joins one.
+    """
+    n = game.n
+    players = game.players()
+    rank = [[0] * (n + 1)]  # row 0 pads the table so that rank[i][j] is i's rank of j
+    rank += [[definitional_rank(pl, j) for j in range(n + 1)] for pl in game.profile]
+    deviation = concept in (Concept.NS, Concept.IS, Concept.CNS, Concept.CIS)
+    need_target = concept in (Concept.IS, Concept.CIS)
+    need_left = concept in (Concept.CNS, Concept.CIS)
+
+    def pair_blocks(a: int, b: int) -> bool:
+        """Whether two players block together; ``a`` and ``b`` are each one's
+        rank of the other minus its rank of its coalition."""
+        if concept is Concept.CORE:
+            return a < 0 and b < 0
+        return concept is Concept.STRICT_CORE and a <= 0 and b <= 0 and a + b < 0
+
+    def stable(m: Matching) -> bool:
+        partner = (0, *m.as_tuple())
+        cur = [rank[i][partner[i]] for i in range(n + 1)]
+        for i in players:
+            left = partner[i]
+            if need_left and rank[left][i] < rank[left][left]:
+                continue  # the abandoned partner vetoes every move of i
+            if rank[i][i] < cur[i]:
+                return False  # i would go alone, or blocks alone
+            for j in players:
+                if deviation:
+                    if j != i and partner[j] == j and rank[i][j] < cur[i]:
+                        if not (need_target and rank[j][i] > rank[j][j]):
+                            return False
+                elif j > i and pair_blocks(rank[i][j] - cur[i], rank[j][i] - cur[j]):
+                    return False
+        return True
+
+    return stable
+
+
 def naive_stable_count(
     game: Game, concept: Concept, matchings: Iterable[Matching] | None = None
 ) -> tuple[Matching | None, int]:
-    """Filter the full unrestricted enumeration through the verifier.
+    """Filter the full unrestricted enumeration through :func:`definitional_checker`.
 
     ``matchings``, when given, is that enumeration, listed once for a game
     checked under several concepts."""
+    stable = definitional_checker(game, concept)
     first = None
     count = 0
     for m in enumerate_matchings(game.n) if matchings is None else matchings:
-        if is_stable(game, m, concept):
+        if stable(m):
             count += 1
             if first is None:
                 first = m

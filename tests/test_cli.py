@@ -295,6 +295,19 @@ def test_gen_names_a_bad_probability_before_sizing_the_request(capsys):
         assert err == f"error: {name} must lie in [0, 1]\n", argv
 
 
+def test_gen_names_a_misplaced_size_before_sizing_the_request(capsys):
+    # Every check of random_game runs before the size bounds, so a request
+    # that sizes the other kind of game is named as such, however large.
+    for argv, message in (
+        (("roommate", "--n", "100000", "--men", "1"),
+         "n_men and n_women size a marriage game; a roommate game takes n"),
+        (("marriage", "--n", "5", "--men", "3000", "--women", "3000"),
+         "n sizes a roommate game; a marriage game takes n_men and n_women"),
+    ):
+        code, out, err = run(capsys, "gen", *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n"), argv
+
+
 @pytest.mark.parametrize(
     "header",
     ["marriage 2 1\n1: 2\n2:\n3:\n", "marriage 0 2\n1: 2\n2:\n"],

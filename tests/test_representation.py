@@ -198,7 +198,7 @@ def peak_rss_probe(probe: str) -> list[str]:
 
 
 def test_count_cache_memory_is_capped():
-    # This CNS count fills the cache's cap of 65,536 keys of 60 bits after
+    # This CNS count fills the cache's cap of 65,536 keys of 40 bits after
     # 232,230 of its 1,368,470 nodes, and past the cap only looks keys up.
     # Uncapped, the cache would store 165,343 keys and the peak would grow
     # by about 10 MiB; capped, it grows by about 5 MiB.  Under tracemalloc
@@ -215,7 +215,7 @@ def test_count_cache_memory_is_capped():
     )
     assert (count, exhausted) == ("984623", "True")
     assert int(grown) < 8 * 2**20
-    # On the sparse game a key has 9,003 bits, and the cap is 1,863 keys.
+    # On the sparse game a key has 6,002 bits, and the cap is 1,863 keys.
     game = sparse_3000()
     assert _count_cache_cap(game.n) == 1_863
     tracemalloc.start()
@@ -312,6 +312,21 @@ def test_complete_parse_memory():
     # The game itself takes about 7 MiB; a fresh int object per listed id
     # above 256 would add about 3 MiB.
     assert peak < 9 * 2**20
+
+
+def test_complete_print_memory():
+    # The printer joins its lines once, an empty last line giving the final
+    # newline.  Adding that newline after the join copies the whole text
+    # again, which took the peak to 3.1 times the text's length.
+    game = random_game(COMPLETE_MARRIAGE)
+    tracemalloc.start()
+    try:
+        text = serialize_instance(game)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert parse_instance(text) == game
+    assert peak < 2.5 * len(text)
 
 
 def test_is_marriage_solver_memory():

@@ -42,7 +42,9 @@ from stablepairs.stability import _move_targets
 from support import (
     CYCLIC3,
     SMALL_GRAPHS,
+    definitional_checker,
     definitional_move,
+    definitional_rank,
     enumerate_matchings,
     full_scan_dynamics,
     involution_count,
@@ -192,6 +194,34 @@ def test_gale_shapley_matches_the_textually_raised_game():
         for proposers in ("men", "women"):
             assert gale_shapley(game, proposers) == gale_shapley(raised, proposers), text
     assert tied >= 1000
+
+
+def test_gale_shapley_is_proposer_optimal_in_the_tie_broken_game():
+    # The strict game breaks each tie by lowest id and puts being alone just
+    # below the players tied with it: raise_text moves each self just after
+    # its tie, and ties print with ids ascending, so dropping the
+    # parentheses leaves exactly that order.
+    games = [random_marriage(seed, max_side=3, tie_probability=0.5) for seed in range(300)]
+    rng = random.Random(26)
+    listed = (random_listed_game(rng) for _ in range(600))
+    games += [g for g in listed if g.is_marriage and g.n <= 6]
+    assert len(games) >= 500
+    tied = 0
+    for game in games:
+        text = serialize_instance(game)
+        strict = parse_instance(re.sub(r"[()]", "", raise_text(text)))
+        tied += strict != game
+        assert all(len(tier) == 1 for pl in strict.profile for tier in pl.tiers)
+        is_core = definitional_checker(strict, Concept.CORE)
+        stable = [m for m in enumerate_matchings(strict.n) if is_core(m)]
+        for proposers, side in (("men", strict.men), ("women", strict.women)):
+            best = gale_shapley(game, proposers)
+            assert is_core(best), (text, proposers)
+            for p in side:
+                pl = strict.profile[p - 1]
+                rank = definitional_rank(pl, best.partner_of(p))
+                assert all(rank <= definitional_rank(pl, m.partner_of(p)) for m in stable)
+    assert tied >= 300
 
 
 def test_gale_shapley_rejects_roommate_games():

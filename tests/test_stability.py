@@ -16,7 +16,15 @@ from stablepairs import (
     is_stable,
     parse_instance,
 )
-from support import CYCLIC3, random_marriage, random_matching, random_roommate
+from stablepairs.stability import find_violation
+from support import (
+    CYCLIC3,
+    definitional_checker,
+    random_listed_game,
+    random_marriage,
+    random_matching,
+    random_roommate,
+)
 
 LATTICE_EDGES = [
     (Concept.NS, Concept.IS),
@@ -156,3 +164,23 @@ def test_verifiers_reject_a_matching_of_the_wrong_size(concept, size):
     game = parse_instance(CYCLIC3)
     with pytest.raises(ValueError, match=r"^matching has \d players, the game 3$"):
         is_stable(game, Matching.singletons(size), concept)
+
+
+def test_verifiers_agree_with_the_definitional_checker():
+    # random_listed_game puts self anywhere, tied or not, and random
+    # matchings ignore acceptability, so IR violations, vetoes, consents and
+    # weak blocks all decide verdicts here.
+    rng = random.Random(26)
+    verdicts = {concept: [0, 0] for concept in Concept}
+    for _ in range(3000):
+        game = random_listed_game(rng)
+        matchings = [random_matching(game.n, rng) for _ in range(4)]
+        for concept in Concept:
+            stable = definitional_checker(game, concept)
+            for m in matchings:
+                verdict = stable(m)
+                assert is_stable(game, m, concept) == verdict, (game, m, concept)
+                assert (find_violation(game, m, concept) is None) == verdict
+                verdicts[concept][verdict] += 1
+    # Both verdicts are common under every concept.
+    assert min(min(counts) for counts in verdicts.values()) >= 3000
