@@ -29,12 +29,13 @@ subsumes rule (a), the skip of same-sex pairs in marriage games: such
 players never list each other, and every player ranks unlisted players below
 being alone, so each would leave the other and neither vetoes.  Both rules
 are tabulated once, before the search, in one O(n + L) pass over the
-compiled ranks (``L`` listed entries); the search keeps no dense rank table,
-and its loop reads no rank outside the leaf test.
+compiled ranks (``L`` listed entries): :func:`_search_tables` walks the
+prefix of each list ranked at or above being alone.  The search keeps no
+dense rank table, and its loop reads no rank outside the leaf test.
 
 Under NS, IS, CNS and CIS a leaf is stable iff no player would move to a
-single player or go alone.  :func:`_target_table` lists, once per search,
-each player's moves from each partner a leaf can give it, as
+single player or go alone.  The same walk lists, once per search, each
+player's moves from each partner a leaf can give it, as
 :func:`stablepairs.stability._move_targets` (the rule that
 :func:`stablepairs.stability.find_deviation` applies) yields them with
 everyone else single; each concept keeps one definition.  Below a node,
@@ -108,6 +109,7 @@ from .stability import (
     Concept,
     DEVIATION_CONCEPTS,
     DeviationWitness,
+    _blocks,
     _consent,
     _move_targets,
     find_violation,
@@ -340,85 +342,76 @@ def exists_ns_is_roommate_complete(game: Game) -> Matching | None:
     return None
 
 
-def _prune_tables(game: Game, concept: Concept) -> tuple[list[list[int]], list[int]]:
-    """Rules (b) and (c) for every pair, in one O(n + L) pass over the ranks.
+def _search_tables(
+    game: Game, concept: Concept
+) -> tuple[list[list[tuple[int, int]]], list[int], list[dict[int, tuple[int, ...]]] | None]:
+    """``(branches, alone, targets)``: rules (b), (c) and (e), from one walk of the lists.
 
     For a pair ``i, j`` let ``a`` and ``b`` be each member's rank of the
-    other minus its own self rank.  Rule (b) keeps the pair in ``cand[i]``
-    (``i < j``, ascending) when both weakly prefer it to being alone, and
-    under CNS and CIS also when one strictly does, since that member vetoes
-    the other's leaving.  Rule (c), under core and strict core only, sets
-    bit ``j`` of ``clash[i]`` and bit ``i`` of ``clash[j]`` when the two
-    cannot both stay single: under core both would be strictly better off
-    together, under strict core both weakly and one strictly.  Both rules
-    need ``a <= 0`` or ``b <= 0``, so each player walks only the prefix of
-    its ``order`` it ranks at or above being alone.
+    other minus its own self rank.  Rule (b) keeps the pair as ``(j, mask)``
+    in ``branches[i]`` (``i < j``, ascending) when both weakly prefer it to
+    being alone, and under CNS and CIS also when one strictly does, since
+    that member vetoes the other's leaving.  Rule (c), under core and strict
+    core, sets bit ``j`` of ``alone[i]`` and bit ``i`` of ``alone[j]`` when
+    the two would block together.  Both rules need ``a <= 0`` or ``b <= 0``,
+    so each player walks only the prefix of its ``order`` it ranks at or
+    above being alone.
+
+    Under a deviation concept, ``targets[q][p]`` lists, best first, the moves
+    :func:`stablepairs.stability._move_targets` yields for ``q`` paired with
+    ``p`` (``q`` itself when single, or a rule-(b) neighbour) when everyone
+    else is single, with going alone written as 0: in any matching that
+    pairs them, q's move is the first of them that is single.  ``targets[0]``
+    maps 0 to no targets, so the table can be read along the whole partner
+    list.  Rule (e) reads the moves as bitmasks, bit ``t`` for target ``t``:
+    ``alone[q]`` for q single, and for a pair the OR of both members' masks.
+    Each list adds O(len(order_q)) to the walk.  Under every other concept
+    ``targets`` is None and every pair's mask is 0.
     """
-    _, vetoes = _consent(concept)
+    need_target, vetoes = _consent(concept)
     core = concept in (Concept.CORE, Concept.STRICT_CORE)
-    weak = concept is Concept.STRICT_CORE
+    strict = concept is Concept.STRICT_CORE
     profile = game.profile
-    cand: list[list[int]] = [[] for _ in range(game.n + 1)]
-    clash = [0] * (game.n + 1)
+    branches: list[list[tuple[int, int]]] = [[] for _ in range(game.n + 1)]
+    alone = [0] * (game.n + 1)
+    targets = None
+    if concept in DEVIATION_CONCEPTS:
+        targets = [{0: ()}] + [{} for _ in profile]
+        # The matching that pairs q with p and leaves everyone else single.
+        partner_of = list(range(1, game.n + 1))
+
+        def moves_of(q: int, p: int) -> int:
+            """Fill ``targets[q][p]`` and return its mask."""
+            partner_of[q - 1], partner_of[p - 1] = p, q
+            mask = 0
+            moves = []
+            for t in _move_targets(profile, partner_of, profile[q - 1], need_target, vetoes):
+                t = t if t != q else 0
+                moves.append(t)
+                mask |= 1 << t
+            partner_of[q - 1], partner_of[p - 1] = q, p
+            targets[q][p] = tuple(moves)
+            return mask
+
     for pl in profile:
-        i, ranks, alone = pl.owner, pl.ranks, pl.self_rank
+        i, ranks, self_rank = pl.owner, pl.ranks, pl.self_rank
+        if targets is not None:
+            alone[i] = moves_of(i, i)
         for j in pl.order[: pl.num_acceptable]:
             pj = profile[j - 1]
-            a = ranks[j] - alone
+            a = ranks[j] - self_rank  # <= 0 along the prefix
             b = pj.ranks.get(i, pj.bottom_rank) - pj.self_rank
             if b <= 0 and j < i:
                 continue  # j accepts i too, so j's walk covers the pair
-            if (a <= 0 and b <= 0) or (vetoes and (a < 0 or b < 0)):
-                cand[min(i, j)].append(max(i, j))
-            if core and ((a < 0 and b < 0) or (weak and a <= 0 and b <= 0 and a + b < 0)):
-                clash[i] |= 1 << j
-                clash[j] |= 1 << i
-    for row in cand:
+            if b <= 0 or (vetoes and a < 0):
+                mask = moves_of(i, j) | moves_of(j, i) if targets is not None else 0
+                branches[min(i, j)].append((max(i, j), mask))
+            if core and _blocks(a, b, strict):
+                alone[i] |= 1 << j
+                alone[j] |= 1 << i
+    for row in branches:
         row.sort()
-    return cand, clash
-
-
-def _target_table(
-    game: Game, concept: Concept, cand: list[list[int]]
-) -> tuple[list[dict[int, tuple[int, ...]]], list[int], list[list[tuple[int, int]]]]:
-    """``targets[q][p]``: whom player ``q`` would move to when paired with ``p``.
-
-    The tuple lists, best first, the moves that
-    :func:`stablepairs.stability._move_targets` yields under a deviation
-    concept when everyone but ``q`` and ``p`` is single, with going alone
-    written as 0.  In any matching that pairs ``q`` with ``p``, q's move is
-    the first of them that is single.  ``p`` ranges over ``q`` itself
-    (single) and q's rule-(b) neighbours in ``cand``, the only partners a
-    search leaf can give ``q``.  ``targets[0]`` maps 0 to no targets, so the
-    table can be read along the whole partner list.
-
-    Rule (e) reads the moves as bitmasks, bit ``t`` for target ``t``:
-    ``alone[q]`` for q single, and ``branches[i]`` pairs each ``j`` in
-    ``cand[i]``, in order, with the OR of both members' masks.  Set-up
-    costs O(sum over q of (1 + deg_q) * len(order_q)).
-    """
-    need_target, need_left = _consent(concept)
-    profile = game.profile
-    targets: list[dict[int, tuple[int, ...]]] = [{0: ()}] + [{} for _ in profile]
-    # The matching that pairs q with p and leaves everyone else single.
-    partner_of = list(range(1, game.n + 1))
-
-    def moves_of(q: int, p: int) -> int:
-        """Fill ``targets[q][p]`` and return its mask."""
-        partner_of[q - 1], partner_of[p - 1] = p, q
-        mask = 0
-        moves = []
-        for t in _move_targets(profile, partner_of, profile[q - 1], need_target, need_left):
-            t = t if t != q else 0
-            moves.append(t)
-            mask |= 1 << t
-        partner_of[q - 1], partner_of[p - 1] = q, p
-        targets[q][p] = tuple(moves)
-        return mask
-
-    alone = [0] + [moves_of(q, q) for q in range(1, game.n + 1)]
-    branches = [[(j, moves_of(i, j) | moves_of(j, i)) for j in row] for i, row in enumerate(cand)]
-    return targets, alone, branches
+    return branches, alone, targets
 
 
 def _table_stable(targets: list[dict[int, tuple[int, ...]]], pi: list[int]) -> bool:
@@ -513,12 +506,7 @@ def _run_search(
     # Each branch adds a mask of players who must not be single: alone[i]
     # when i goes alone, and a mask beside each j in branches[i] when i
     # takes j.  Rule (c) is the core case, with masks only for singles.
-    cand, alone = _prune_tables(game, concept)
-    targets = None
-    if concept in DEVIATION_CONCEPTS:
-        targets, alone, branches = _target_table(game, concept, cand)
-    else:
-        branches = [[(j, 0) for j in row] for row in cand]
+    branches, alone, targets = _search_tables(game, concept)
     # Rule (d).  The undecided members of a class always form a suffix of
     # it, so j is the lowest one exactly when its earlier twin is decided.
     # Index 0 stands for "no earlier twin" and, like every index up to the
@@ -635,14 +623,14 @@ def _run_search(
     return (Matching(found) if found is not None else None), count, False
 
 
-def _count_matchings(cand: list[list[int]]) -> int:
-    """The number of matchings whose pairs are ``i, j`` for ``j`` in ``cand[i]``.
+def _count_matchings(branches: list[list[tuple[int, int]]]) -> int:
+    """The number of matchings whose pairs are ``i, j`` for ``(j, _)`` in ``branches[i]``.
 
     A forward dynamic program over players in id order, as the search
     decides them.  ``ways`` maps a set of later players that earlier players
     have already taken, as a bitmask, to the number of ways to reach it.
     Player ``i`` was taken (its bit is cleared), or goes alone, or takes an
-    untaken ``j > i`` from ``cand[i]``; after the last player every bit is
+    untaken ``j > i`` from ``branches[i]``; after the last player every bit is
     cleared.  Each set in a layer comes from at least one way of deciding
     the earlier players, and the search visits a distinct node for each such
     way, so no layer holds more sets than the search has nodes.  On a
@@ -650,9 +638,9 @@ def _count_matchings(cand: list[list[int]]) -> int:
     far fewer than the matchings.
     """
     ways = {0: 1}
-    for i in range(1, len(cand)):
+    for i in range(1, len(branches)):
         bit = 1 << i
-        moves = [1 << j for j in cand[i]]
+        moves = [1 << j for j, _ in branches[i]]
         after: dict[int, int] = {}
         get = after.get
         for taken, w in ways.items():
@@ -688,7 +676,7 @@ def brute_force(
         # Every leaf is IR-stable: the first is the existence search's, and
         # the count is that of the rule-(b) graph's matchings.
         found, _, _ = _run_search(game, concept, stop_after=1)
-        return found, _count_matchings(_prune_tables(game, concept)[0])
+        return found, _count_matchings(_search_tables(game, concept)[0])
     found, count, _ = _run_search(game, concept, stop_after=stop_after)
     return found, count
 

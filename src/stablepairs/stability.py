@@ -41,6 +41,16 @@ def _consent(concept: Concept) -> tuple[bool, bool]:
     return concept in (Concept.IS, Concept.CIS), concept in (Concept.CNS, Concept.CIS)
 
 
+def _blocks(a: int, b: int, strict: bool) -> bool:
+    """Whether two players block together; ``a`` and ``b`` are each one's rank
+    of the other minus its rank of its coalition, so negative is better off.
+
+    Under core both are strictly better off; under strict core both are
+    weakly better off and one strictly.
+    """
+    return a <= 0 and b <= 0 and a + b < 0 if strict else a < 0 and b < 0
+
+
 class DeviationWitness(namedtuple("DeviationWitness", "mover target concept")):
     """A profitable single-player move by ``mover`` under ``concept``;
     ``target is None`` means going alone."""
@@ -166,8 +176,7 @@ def find_pair_block(
             if j <= i or j == partner or (best is not None and j > best):
                 continue
             other = profile[j - 1]
-            b = other.ranks.get(i, other.bottom_rank) - current[j]
-            if b < 0 or (strict and b == 0 and a < 0):
+            if _blocks(a, other.ranks.get(i, other.bottom_rank) - current[j], strict):
                 best = j
         if best is not None:
             return PairBlockWitness(i, best)

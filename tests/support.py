@@ -13,7 +13,7 @@ fields alone.
 from __future__ import annotations
 
 import random
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from stablepairs import (
     Concept,
@@ -303,6 +303,24 @@ def naive_stable_count(
             if first is None:
                 first = m
     return first, count
+
+
+def relabelled(game: Game, new_id: Sequence[int], num_men: int | None = None) -> Game:
+    """``game`` with each player ``i`` renamed ``new_id[i]`` (``new_id[0]`` is unused).
+
+    ``new_id`` permutes ``1..n``.  In a marriage game it keeps each side
+    together: it permutes players within sides, or swaps the sides, and then
+    ``num_men`` is the old ``num_women``.  Each list keeps its ranks and is
+    built directly by ``PreferenceList._compiled``, ordered by (rank, new id).
+    """
+    profile = {}
+    for pl in game.profile:
+        ranks = {new_id[j]: r for j, r in pl.ranks.items()}
+        order = tuple(sorted(ranks, key=lambda j: (ranks[j], j)))
+        owner = new_id[pl.owner]
+        profile[owner] = PreferenceList._compiled(owner, order, ranks, pl.self_rank)
+    lists = tuple(profile[i] for i in game.players())
+    return Game(game.n, lists, game.kind, game.num_men if num_men is None else num_men)
 
 
 def full_scan_dynamics(

@@ -163,7 +163,7 @@ def test_sparse_search_memory_is_linear():
     assert peak < 10 * 2**20
     # CNS builds the move-target table, one entry per player and rule-(b)
     # neighbour, and runs rule (e) deep into the tree; an n x n table would
-    # not fit.  The peak (6.1 MiB) is the same at 20,000 nodes as at
+    # not fit.  The peak (5.6 MiB) is the same at 20,000 nodes as at
     # 200,000, which take about 10 s under tracemalloc.
     tracemalloc.start()
     try:

@@ -37,11 +37,12 @@ from stablepairs import (
 )
 from stablepairs import Graph, cli, max_matching, solvers
 from stablepairs.model import GenParams
-from stablepairs.solvers import _earlier_twins, _run_search, _table_stable, _target_table
+from stablepairs.solvers import _earlier_twins, _run_search, _search_tables, _table_stable
 from stablepairs.stability import _move_targets
 from support import (
     CYCLIC3,
     SMALL_GRAPHS,
+    definitional_accepts,
     definitional_checker,
     definitional_move,
     definitional_rank,
@@ -54,6 +55,7 @@ from support import (
     random_marriage,
     random_matching,
     random_roommate,
+    relabelled,
     replay_dynamics,
     search_status,
     singles_of,
@@ -590,16 +592,77 @@ def test_count_cache_agrees_with_the_naive_oracle():
     assert fired >= 50
 
 
+def test_relabelling_keeps_counts_and_existence():
+    # A relabelling maps stable matchings one to one onto stable matchings,
+    # but rules (d) and (e) and the count cache all read the id order.  So
+    # counts and answers must survive it, and the relabelled game's first
+    # matching, mapped back, must be stable by the definitions.  This oracle
+    # has no size limit; these games reach past naive_stable_count's.
+    rng = random.Random(23)
+    games = [random_listed_game(rng) for _ in range(200)]
+    for seed in range(20):
+        common = dict(tie_probability=rng.random(), seed=seed)
+        roommate = GenParams(
+            kind="roommate",
+            n=rng.randint(10, 14),
+            acceptability_probability=rng.uniform(0.2, 0.6),
+            **common,
+        )
+        marriage = GenParams(
+            kind="marriage",
+            n_men=rng.randint(4, 7),
+            n_women=rng.randint(4, 7),
+            acceptability_probability=rng.uniform(0.3, 0.8),
+            **common,
+        )
+        games += [random_game(roommate), random_game(marriage)]
+    compared = 0
+    for game in games:
+        # Whether a stable matching exists, and the count where the search
+        # takes it in well under a second.
+        expected = {
+            concept: (
+                brute_force(game, concept, cap=game.n, stop_after=1)[0] is None,
+                None
+                if concept in (Concept.CORE, Concept.STRICT_CORE)
+                else brute_force(game, concept, cap=game.n)[1],
+            )
+            for concept in Concept
+        }
+        # A permutation within sides, and for a marriage game also a swap of
+        # the sides.  order[new - 1] is the old id of player ``new``.
+        sides = [game.men, game.women] if game.is_marriage else [game.players()]
+        for swap in (False, True) if game.is_marriage else (False,):
+            order = []
+            for side in sides[::-1] if swap else sides:
+                order += rng.sample(side, len(side))
+            new_id = [0] * (game.n + 1)
+            for new, old in enumerate(order, 1):
+                new_id[old] = new
+            other = relabelled(game, new_id, game.num_women if swap else game.num_men)
+            for concept, (none, count) in expected.items():
+                found, _ = brute_force(other, concept, cap=game.n, stop_after=1)
+                assert (found is None) == none, (game, new_id, concept)
+                if found is not None:
+                    back = Matching(order[found.partner_of(new_id[i]) - 1] for i in game.players())
+                    assert definitional_checker(game, concept)(back), (game, new_id, concept)
+                if count is not None:
+                    counted = brute_force(other, concept, cap=game.n)[1]
+                    assert counted == count, (game, new_id, concept)
+                compared += 1 + (count is not None)
+    assert compared == 4_392
+
+
 def test_an_open_move_at_a_kept_leaf_is_an_internal_error(monkeypatch):
     # The leaf check reads the move table itself, so masks that miss a move
     # must not turn an unstable leaf into a stable matching.
-    table = solvers._target_table
+    tables = solvers._search_tables
 
-    def blind(game, concept, cand):
-        targets, alone, branches = table(game, concept, cand)
-        return targets, [0] * len(alone), [[(j, 0) for j, _ in row] for row in branches]
+    def blind(game, concept):
+        branches, alone, targets = tables(game, concept)
+        return [[(j, 0) for j, _ in row] for row in branches], [0] * len(alone), targets
 
-    monkeypatch.setattr(solvers, "_target_table", blind)
+    monkeypatch.setattr(solvers, "_search_tables", blind)
     with pytest.raises(InternalCheckError):
         _run_search(parse_instance(CYCLIC3), Concept.IS)
 
@@ -609,6 +672,24 @@ def _bits(moves: tuple[int, ...]) -> int:
     for t in moves:
         mask |= 1 << t
     return mask
+
+
+def _every_pair_table(game, need_target, need_left):
+    """``table[q][p]``: q's moves, as ``_move_targets`` yields them, when paired
+    with ``p`` and everyone else is single, going alone written as 0; ``p``
+    ranges over every player, so any matching is covered."""
+    profile = game.profile
+    table = [{0: ()}]
+    for pl in profile:
+        q = pl.owner
+        row = {}
+        for p in game.players():
+            partner_of = list(range(1, game.n + 1))
+            partner_of[q - 1], partner_of[p - 1] = p, q
+            moves = _move_targets(profile, partner_of, pl, need_target, need_left)
+            row[p] = tuple(t if t != q else 0 for t in moves)
+        table.append(row)
+    return table
 
 
 def test_move_targets_match_the_definitions():
@@ -624,18 +705,51 @@ def test_move_targets_match_the_definitions():
     for _ in range(400):
         game = random_listed_game(rng)
         profile = game.profile
-        # Rule (b) candidates that keep every pair, so any matching is covered.
-        every_pair = [[]] + [list(range(i + 1, game.n + 1)) for i in game.players()]
+        players = game.players()
+        accepts = [[]] + [
+            [definitional_accepts(pl, j) for j in range(game.n + 1)] for pl in profile
+        ]
+        mutual = [[]] + [
+            [j for j in players if j > q and accepts[q][j] and accepts[j][q]] for q in players
+        ]
+        # Without a veto, rule (b) keeps exactly the mutually acceptable
+        # pairs; the concepts without moves get no table and zero masks.
+        for concept in (Concept.IR, Concept.CORE, Concept.STRICT_CORE):
+            branches, _, targets = _search_tables(game, concept)
+            assert targets is None
+            assert branches == [[(j, 0) for j in row] for row in mutual], (game, concept)
         for concept in (Concept.NS, Concept.IS, Concept.CNS, Concept.CIS):
             need_target = concept in (Concept.IS, Concept.CIS)
             need_left = concept in (Concept.CNS, Concept.CIS)
-            targets, alone, branches = _target_table(game, concept, every_pair)
-            # Rule (e)'s masks: bit t for each target t, both members' for a pair.
-            for q in game.players():
-                assert alone[q] == _bits(targets[q][q])
-                assert [j for j, _ in branches[q]] == every_pair[q]
+            table = _every_pair_table(game, need_target, need_left)
+            branches, alone, targets = _search_tables(game, concept)
+            # Rule (b): of the pairs the walk reaches, in which one member
+            # accepts the other, the search keeps those that neither member
+            # would leave for being alone.
+            for q in players:
+                kept = [
+                    j
+                    for j in players
+                    if j > q
+                    and (accepts[q][j] or accepts[j][q])
+                    and 0 not in table[q][j]
+                    and 0 not in table[j][q]
+                ]
+                assert [j for j, _ in branches[q]] == kept, (game, concept, q)
+            # The search's table lists q's moves from q itself and from each
+            # rule-(b) neighbour; it and rule (e)'s masks must agree with the
+            # test's table entry by entry: bit t for each target t, both
+            # members' for a pair.
+            assert targets[0] == {0: ()}
+            for q in players:
+                neighbours = {j for j, _ in branches[q]}
+                neighbours |= {i for i in players if any(j == q for j, _ in branches[i])}
+                assert targets[q].keys() == {q} | neighbours, (game, concept, q)
+                for p, moves in targets[q].items():
+                    assert moves == table[q][p], (game, concept, q, p)
+                assert alone[q] == _bits(table[q][q])
                 for j, mask in branches[q]:
-                    assert mask == _bits(targets[q][j]) | _bits(targets[j][q])
+                    assert mask == _bits(table[q][j]) | _bits(table[j][q])
             for _ in range(4):
                 matching = random_matching(game.n, rng)
                 partner_of = matching.as_tuple()
@@ -644,14 +758,14 @@ def test_move_targets_match_the_definitions():
                 for pl in profile:
                     i = pl.owner
                     move = definitional_move(game, partner_of, i, concept)
-                    listed = next((t or i for t in targets[i][pi[i]] if pi[t] == t), None)
+                    listed = next((t or i for t in table[i][pi[i]] if pi[t] == t), None)
                     assert listed == move, (game, concept, partner_of, i)
                     assert next(
                         _move_targets(profile, partner_of, pl, need_target, need_left), None
                     ) == move
                     moves.append(move)
                 stable = is_stable(game, matching, concept)
-                assert _table_stable(targets, pi) == stable
+                assert _table_stable(table, pi) == stable
                 alone_only += not stable and all(m in (None, i) for i, m in enumerate(moves, 1))
     assert alone_only >= 1000
 
