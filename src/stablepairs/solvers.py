@@ -34,24 +34,25 @@ prefix of each list ranked at or above being alone.  The search keeps no
 dense rank table, and its loop reads no rank outside the leaf test.
 
 Under NS, IS, CNS and CIS a leaf is stable iff no player would move to a
-single player or go alone.  The same walk lists, once per search, each
-player's moves from each partner a leaf can give it, as
+single player or go alone.  The same walk packs into a bitmask, once per
+search, each player's moves from each partner a leaf can give it, as
 :func:`stablepairs.stability._move_targets` (the rule that
 :func:`stablepairs.stability.find_deviation` applies) yields them with
-everyone else single; each concept keeps one definition.  Below a node,
-decided players keep their partners, so (e), forward checking (Haralick &
-Elliott, AI 14, 1980), drops a branch once a decided player's move targets
-a decided single or going alone; rule (c) is its two-singles case.  Every
-leaf reached is then stable, and the table check there is kept as an
-:class:`InternalCheckError`.  Core and strict core leaves are decided by
-:func:`stablepairs.stability.is_stable`: a block depends on the other
-player's partner, not only on who is single.  IR leaves need no test: under
-IR, rule (b) admits only mutually acceptable pairs, and a single player is
-always individually rational.  So every leaf is stable, and
-:func:`brute_force` counts IR matchings without visiting them, by a dynamic
-program over the rule-(b) graph (:func:`_count_matchings`).  Counting
-matchings is #P-complete in general (Valiant, SIAM J. Comput. 1979), but
-its taken-player sets are far fewer than the matchings.
+everyone else single.  Below a node, decided players keep their partners, so
+(e), forward checking (Haralick & Elliott, AI 14, 1980), drops a branch once
+a decided player's mask has a decided single or going alone; rule (c) is its
+two-singles case.  Every leaf reached is then stable, and
+:func:`stablepairs.stability.is_stable`, the verifier that ``verify`` runs,
+checks it there, so each concept keeps one definition; a failure is an
+:class:`InternalCheckError`.  Core and strict core leaves are decided by the
+same call: a block depends on the other player's partner, not only on who is
+single.  IR leaves need no test: under IR, rule (b) admits only mutually
+acceptable pairs, and a single player is always individually rational.  So
+every leaf is stable, and :func:`brute_force` counts IR matchings without
+visiting them, by a dynamic program over the rule-(b) graph
+(:func:`_count_matchings`).  Counting matchings is #P-complete in general
+(Valiant, SIAM J. Comput. 1979), but its taken-player sets are far fewer
+than the matchings.
 
 In existence mode (``stop_after == 1``) it also applies (d), symmetry:
 player ``i`` is paired only with the lowest-id undecided member of each
@@ -98,8 +99,6 @@ from __future__ import annotations
 import time
 from collections import deque, namedtuple
 from collections.abc import Iterator
-from itertools import chain, tee
-from operator import eq
 
 from .errors import InternalCheckError, PreconditionError
 from .graph_matching import _max_matching
@@ -342,10 +341,8 @@ def exists_ns_is_roommate_complete(game: Game) -> Matching | None:
     return None
 
 
-def _search_tables(
-    game: Game, concept: Concept
-) -> tuple[list[list[tuple[int, int]]], list[int], list[dict[int, tuple[int, ...]]] | None]:
-    """``(branches, alone, targets)``: rules (b), (c) and (e), from one walk of the lists.
+def _search_tables(game: Game, concept: Concept) -> tuple[list[list[tuple[int, int]]], list[int]]:
+    """``(branches, alone)``: rules (b), (c) and (e), from one walk of the lists.
 
     For a pair ``i, j`` let ``a`` and ``b`` be each member's rank of the
     other minus its own self rank.  Rule (b) keeps the pair as ``(j, mask)``
@@ -357,16 +354,14 @@ def _search_tables(
     so each player walks only the prefix of its ``order`` it ranks at or
     above being alone.
 
-    Under a deviation concept, ``targets[q][p]`` lists, best first, the moves
+    Under a deviation concept, rule (e) reads as a bitmask the moves
     :func:`stablepairs.stability._move_targets` yields for ``q`` paired with
     ``p`` (``q`` itself when single, or a rule-(b) neighbour) when everyone
-    else is single, with going alone written as 0: in any matching that
-    pairs them, q's move is the first of them that is single.  ``targets[0]``
-    maps 0 to no targets, so the table can be read along the whole partner
-    list.  Rule (e) reads the moves as bitmasks, bit ``t`` for target ``t``:
-    ``alone[q]`` for q single, and for a pair the OR of both members' masks.
-    Each list adds O(len(order_q)) to the walk.  Under every other concept
-    ``targets`` is None and every pair's mask is 0.
+    else is single: bit ``t`` for target ``t``, bit 0 for going alone.  In
+    any matching that pairs them, q has a move iff one of those bits is a
+    single player or 0.  ``alone[q]`` holds q's mask when single, and a
+    pair's mask is the OR of both members'.  Each mask adds O(len(order_q))
+    to the walk.  Under every other concept every pair's mask is 0.
     """
     need_target, vetoes = _consent(concept)
     core = concept in (Concept.CORE, Concept.STRICT_CORE)
@@ -374,28 +369,22 @@ def _search_tables(
     profile = game.profile
     branches: list[list[tuple[int, int]]] = [[] for _ in range(game.n + 1)]
     alone = [0] * (game.n + 1)
-    targets = None
-    if concept in DEVIATION_CONCEPTS:
-        targets = [{0: ()}] + [{} for _ in profile]
-        # The matching that pairs q with p and leaves everyone else single.
-        partner_of = list(range(1, game.n + 1))
+    deviation = concept in DEVIATION_CONCEPTS
+    # The matching that pairs q with p and leaves everyone else single.
+    partner_of = list(range(1, game.n + 1)) if deviation else []
 
-        def moves_of(q: int, p: int) -> int:
-            """Fill ``targets[q][p]`` and return its mask."""
-            partner_of[q - 1], partner_of[p - 1] = p, q
-            mask = 0
-            moves = []
-            for t in _move_targets(profile, partner_of, profile[q - 1], need_target, vetoes):
-                t = t if t != q else 0
-                moves.append(t)
-                mask |= 1 << t
-            partner_of[q - 1], partner_of[p - 1] = q, p
-            targets[q][p] = tuple(moves)
-            return mask
+    def moves_of(q: int, p: int) -> int:
+        """The mask of q's moves when paired with p."""
+        partner_of[q - 1], partner_of[p - 1] = p, q
+        mask = 0
+        for t in _move_targets(profile, partner_of, profile[q - 1], need_target, vetoes):
+            mask |= 1 << (t if t != q else 0)
+        partner_of[q - 1], partner_of[p - 1] = q, p
+        return mask
 
     for pl in profile:
         i, ranks, self_rank = pl.owner, pl.ranks, pl.self_rank
-        if targets is not None:
+        if deviation:
             alone[i] = moves_of(i, i)
         for j in pl.order[: pl.num_acceptable]:
             pj = profile[j - 1]
@@ -404,26 +393,14 @@ def _search_tables(
             if b <= 0 and j < i:
                 continue  # j accepts i too, so j's walk covers the pair
             if b <= 0 or (vetoes and a < 0):
-                mask = moves_of(i, j) | moves_of(j, i) if targets is not None else 0
+                mask = moves_of(i, j) | moves_of(j, i) if deviation else 0
                 branches[min(i, j)].append((max(i, j), mask))
             if core and _blocks(a, b, strict):
                 alone[i] |= 1 << j
                 alone[j] |= 1 << i
     for row in branches:
         row.sort()
-    return branches, alone, targets
-
-
-def _table_stable(targets: list[dict[int, tuple[int, ...]]], pi: list[int]) -> bool:
-    """Whether no player has an open move; ``pi[q]`` is q's partner.
-
-    A listed target ``t`` is open when single, ``pi[t] == t``; ``pi[0] == 0``
-    makes going alone (target 0) always open.  The scan runs no Python loop
-    per player and stops at the first open move, so one call costs at most
-    O(n + targets read).
-    """
-    moves, again = tee(chain.from_iterable(map(dict.__getitem__, targets, pi)))
-    return not any(map(eq, map(pi.__getitem__, moves), again))
+    return branches, alone
 
 
 def _earlier_twins(game: Game) -> list[int]:
@@ -506,17 +483,19 @@ def _run_search(
     # Each branch adds a mask of players who must not be single: alone[i]
     # when i goes alone, and a mask beside each j in branches[i] when i
     # takes j.  Rule (c) is the core case, with masks only for singles.
-    branches, alone, targets = _search_tables(game, concept)
+    branches, alone = _search_tables(game, concept)
+    deviation = concept in DEVIATION_CONCEPTS
     # Rule (d).  The undecided members of a class always form a suffix of
     # it, so j is the lowest one exactly when its earlier twin is decided.
     # Index 0 stands for "no earlier twin" and, like every index up to the
     # branching player, counts as decided.
-    twin = _earlier_twins(game) if stop_after == 1 else [0] * (n + 1)
+    # Not under IR: every leaf is stable there, so the first descent ends the search.
+    twin = _earlier_twins(game) if stop_after == 1 and concept is not Concept.IR else [0] * (n + 1)
     # The count cache maps a frontier key to the stable count below it (see
     # the module docstring).  reach[k] holds every target that a branch of a
     # player >= k tests against ``single``.  frame[k] holds the mask of the
     # players decided once frame k opened, its key, and the count on entry.
-    memo = {} if stop_after is None and targets is not None else None
+    memo = {} if stop_after is None and deviation else None
     if memo is not None:
         cap = _count_cache_cap(n)
         reach = [0] * (n + 2)
@@ -574,18 +553,14 @@ def _run_search(
             i, j = k, 0
         elif hit is not None:
             count += hit
-        elif targets is not None and not _table_stable(targets, pi):
-            raise InternalCheckError("rule (e) kept a leaf with an open move")
-        elif (
-            targets is not None
-            or concept is Concept.IR
-            or is_stable(game, Matching._trusted(tuple(pi[1:-1])), concept)
-        ):
+        elif concept is Concept.IR or is_stable(game, Matching._trusted(tuple(pi[1:-1])), concept):
             count += 1
             if found is None:
                 found = tuple(pi[1:-1])
             if stop_after is not None and count >= stop_after:
                 break
+        elif deviation:
+            raise InternalCheckError("rule (e) kept a leaf with an open move")
         # Undo frame i's latest branch, the only undo (after the visit opened
         # frame i, j == 0 and the writes change nothing), and take its next
         # branch: a partner, then alone.  A frame whose alone branch, the

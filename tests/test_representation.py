@@ -161,10 +161,10 @@ def test_sparse_search_memory_is_linear():
     assert count == 1 and is_individually_rational(game, found)
     # A dense (n+1) x (n+1) rank table needs about 70 MB here.
     assert peak < 10 * 2**20
-    # CNS builds the move-target table, one entry per player and rule-(b)
-    # neighbour, and runs rule (e) deep into the tree; an n x n table would
-    # not fit.  The peak (5.6 MiB) is the same at 20,000 nodes as at
-    # 200,000, which take about 10 s under tracemalloc.
+    # CNS builds rule (e)'s move masks, one per player and rule-(b) pair,
+    # and runs rule (e) deep into the tree; an n x n table would not fit.
+    # The peak (4.1 MiB) is the same at 20,000 nodes as at 200,000, which
+    # take about 7 s under tracemalloc.
     tracemalloc.start()
     try:
         status, _ = search_status(game, Concept.CNS, node_budget=20_000)

@@ -37,7 +37,7 @@ from stablepairs import (
 )
 from stablepairs import Graph, cli, max_matching, solvers
 from stablepairs.model import GenParams
-from stablepairs.solvers import _earlier_twins, _run_search, _search_tables, _table_stable
+from stablepairs.solvers import _earlier_twins, _run_search, _search_tables
 from stablepairs.stability import _move_targets
 from support import (
     CYCLIC3,
@@ -405,6 +405,21 @@ def test_interchangeable_players_are_found():
     assert [twins[i] for i in fillers] == [0] + fillers[:-1]
 
 
+def test_the_ir_search_builds_no_twin_table(monkeypatch):
+    # Under IR nothing is pruned and every leaf is stable, so the first
+    # descent ends the search and rule (d) could never apply.
+    def refuse(game):
+        raise RuntimeError("twin table built")
+
+    monkeypatch.setattr(solvers, "_earlier_twins", refuse)
+    game = parse_instance(CLONES_ROOMMATE)
+    first, total = naive_stable_count(game, Concept.IR)
+    assert brute_force(game, Concept.IR) == (first, total)
+    assert brute_force(game, Concept.IR, stop_after=1) == (first, 1)
+    with pytest.raises(RuntimeError, match="twin table built"):
+        brute_force(game, Concept.NS, stop_after=1)
+
+
 def _symmetric_games():
     """Seeded small games, most of them with interchangeable players."""
     games = [parse_instance(CLONES_ROOMMATE), parse_instance(CLONES_MARRIAGE)]
@@ -654,13 +669,13 @@ def test_relabelling_keeps_counts_and_existence():
 
 
 def test_an_open_move_at_a_kept_leaf_is_an_internal_error(monkeypatch):
-    # The leaf check reads the move table itself, so masks that miss a move
-    # must not turn an unstable leaf into a stable matching.
+    # The leaf check runs the verifier, not the masks, so masks that miss a
+    # move must not turn an unstable leaf into a stable matching.
     tables = solvers._search_tables
 
     def blind(game, concept):
-        branches, alone, targets = tables(game, concept)
-        return [[(j, 0) for j, _ in row] for row in branches], [0] * len(alone), targets
+        branches, alone = tables(game, concept)
+        return [[(j, 0) for j, _ in row] for row in branches], [0] * len(alone)
 
     monkeypatch.setattr(solvers, "_search_tables", blind)
     with pytest.raises(InternalCheckError):
@@ -679,7 +694,7 @@ def _every_pair_table(game, need_target, need_left):
     with ``p`` and everyone else is single, going alone written as 0; ``p``
     ranges over every player, so any matching is covered."""
     profile = game.profile
-    table = [{0: ()}]
+    table = [{}]
     for pl in profile:
         q = pl.owner
         row = {}
@@ -693,9 +708,9 @@ def _every_pair_table(game, need_target, need_left):
 
 
 def test_move_targets_match_the_definitions():
-    # The table lists each player's moves as if everyone else were single;
-    # in any matching, the first listed move that is open must be the one
-    # the definitions give, and the first that _move_targets yields.  Random
+    # The test's table lists each player's moves as if everyone else were
+    # single; in any matching, the first listed move that is open must be the
+    # one the definitions give, and the first that _move_targets yields.  Random
     # matchings, unlike search leaves, pair players that one member would
     # leave for being alone unvetoed (rule (b) keeps such pairs out of the
     # search), so only here does the going-alone entry, 0, decide a verdict.
@@ -713,16 +728,15 @@ def test_move_targets_match_the_definitions():
             [j for j in players if j > q and accepts[q][j] and accepts[j][q]] for q in players
         ]
         # Without a veto, rule (b) keeps exactly the mutually acceptable
-        # pairs; the concepts without moves get no table and zero masks.
+        # pairs; the concepts without moves get zero masks.
         for concept in (Concept.IR, Concept.CORE, Concept.STRICT_CORE):
-            branches, _, targets = _search_tables(game, concept)
-            assert targets is None
+            branches, _ = _search_tables(game, concept)
             assert branches == [[(j, 0) for j in row] for row in mutual], (game, concept)
         for concept in (Concept.NS, Concept.IS, Concept.CNS, Concept.CIS):
             need_target = concept in (Concept.IS, Concept.CIS)
             need_left = concept in (Concept.CNS, Concept.CIS)
             table = _every_pair_table(game, need_target, need_left)
-            branches, alone, targets = _search_tables(game, concept)
+            branches, alone = _search_tables(game, concept)
             # Rule (b): of the pairs the walk reaches, in which one member
             # accepts the other, the search keeps those that neither member
             # would leave for being alone.
@@ -736,17 +750,10 @@ def test_move_targets_match_the_definitions():
                     and 0 not in table[j][q]
                 ]
                 assert [j for j, _ in branches[q]] == kept, (game, concept, q)
-            # The search's table lists q's moves from q itself and from each
-            # rule-(b) neighbour; it and rule (e)'s masks must agree with the
-            # test's table entry by entry: bit t for each target t, both
-            # members' for a pair.
-            assert targets[0] == {0: ()}
+            # Rule (e)'s masks must agree with the test's table: bit t for
+            # each target t, q's own moves when single, both members' for a
+            # pair.
             for q in players:
-                neighbours = {j for j, _ in branches[q]}
-                neighbours |= {i for i in players if any(j == q for j, _ in branches[i])}
-                assert targets[q].keys() == {q} | neighbours, (game, concept, q)
-                for p, moves in targets[q].items():
-                    assert moves == table[q][p], (game, concept, q, p)
                 assert alone[q] == _bits(table[q][q])
                 for j, mask in branches[q]:
                     assert mask == _bits(table[q][j]) | _bits(table[j][q])
@@ -765,7 +772,7 @@ def test_move_targets_match_the_definitions():
                     ) == move
                     moves.append(move)
                 stable = is_stable(game, matching, concept)
-                assert _table_stable(table, pi) == stable
+                assert stable == all(m is None for m in moves)
                 alone_only += not stable and all(m in (None, i) for i, m in enumerate(moves, 1))
     assert alone_only >= 1000
 
@@ -921,6 +928,11 @@ def test_missed_deviation_fails_the_final_check(monkeypatch):
         compute_cns(game)
     with pytest.raises(InternalCheckError):
         run_dynamics(game, Concept.NS, Matching.singletons(3), 10)
+    # The search then builds masks with no moves, so its leaf check must run
+    # the verifier itself.
+    for concept in (Concept.IS, Concept.NS):
+        with pytest.raises(InternalCheckError):
+            _run_search(game, concept)
 
 
 # Every post-solve check, made to fire by a producer that returns a bad
