@@ -32,10 +32,10 @@ class Graph(Frozen):
     __slots__ = ("n", "edges")
 
     def __init__(self, n: int, edges: frozenset[Edge]) -> None:
-        Frozen.__init__(self, n, edges)
+        Frozen.__init__(self, n, frozenset(edges))
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        for u, v in edges:
+        for u, v in self.edges:
             if not (1 <= u < v <= n):
                 raise ValueError(f"edge ({u}, {v}) is not a normalized in-range pair")
 

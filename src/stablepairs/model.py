@@ -170,6 +170,7 @@ class Game(Frozen):
     def __init__(
         self, n: int, profile: tuple[PreferenceList, ...], kind: str = ROOMMATE, num_men: int = 0
     ) -> None:
+        profile = tuple(profile)
         Frozen.__init__(self, n, profile, kind, num_men)
         if kind not in (ROOMMATE, MARRIAGE):
             raise ValueError(f"unknown game kind {kind!r}")

@@ -46,9 +46,9 @@ two-singles case.  Every leaf reached is then stable, and
 checks it there, so each concept keeps one definition; a failure is an
 :class:`InternalCheckError`.  Core and strict core leaves are decided by the
 same call: a block depends on the other player's partner, not only on who is
-single.  IR leaves need no test: under IR, rule (b) admits only mutually
-acceptable pairs, and a single player is always individually rational.  So
-every leaf is stable, and :func:`brute_force` counts IR matchings without
+single.  Under IR, rule (b) admits only mutually acceptable pairs, and a
+single player is always individually rational.  So every leaf is stable
+(and still checked), and :func:`brute_force` counts IR matchings without
 visiting them, by a dynamic program over the rule-(b) graph
 (:func:`_count_matchings`).  Counting matchings is #P-complete in general
 (Valiant, SIAM J. Comput. 1979), but its taken-player sets are far fewer
@@ -155,39 +155,34 @@ def _listers(game: Game) -> list[list[int]]:
 def _moves(
     game: Game, concept: Concept, partner: list[int]
 ) -> Iterator[tuple[int, int, int]]:
-    """Apply the deviation scheduler's moves to ``partner`` in place, yielding each.
+    """Yield the deviation scheduler's moves, applying each to ``partner`` on resuming.
 
     ``partner[j - 1]`` is player ``j``'s partner.  A move ``(mover, old,
-    target)`` is applied before it is yielded; ``old`` was the mover's
+    target)`` is yielded before it is applied: ``old`` is the mover's
     partner, and ``target == mover`` means going alone.  One full
     :func:`_verified` scan confirms the end.
     """
     profile = game.profile
     need_target, need_left = _consent(concept)
     listers = _listers(game)
-    # A clear flag means the player has no deviation; none is set below lo.
+    # A clear flag means the player has no deviation.
     dirty = bytearray(1) + b"\x01" * game.n
-    lo = 1
-    while (i := dirty.find(1, lo)) > 0:
+    while (i := dirty.find(1)) > 0:
         target = next(_move_targets(profile, partner, profile[i - 1], need_target, need_left), None)
         if target is None:
             dirty[i] = 0
-            lo = i + 1
             continue
         old = partner[i - 1]
+        yield i, old, target
         partner[old - 1] = old
         partner[i - 1] = target
         partner[target - 1] = i
         dirty[old] = dirty[target] = 1
-        lo = min(i, old, target)
         if old != i:
             # Whoever the move leaves single may now be some lister's target.
             for freed in (old, i) if target == i else (old,):
                 for k in listers[freed]:
                     dirty[k] = 1
-                if listers[freed] and listers[freed][0] < lo:
-                    lo = listers[freed][0]
-        yield i, old, target
     _verified(game, Matching._trusted(tuple(partner)), concept)
 
 
@@ -211,9 +206,7 @@ def compute_cis_ir(game: Game) -> SolverReport:
     can occur; exceeding that signals a bug.
     """
     n = game.n
-    report = _better_response(
-        game, Concept.CIS, max(n * (n - 1), 0), "CIS deviation bound n(n-1)"
-    )
+    report = _better_response(game, Concept.CIS, n * (n - 1), "CIS deviation bound n(n-1)")
     _verified(game, report.matching, Concept.IR)
     return report
 
@@ -553,14 +546,14 @@ def _run_search(
             i, j = k, 0
         elif hit is not None:
             count += hit
-        elif concept is Concept.IR or is_stable(game, Matching._trusted(tuple(pi[1:-1])), concept):
+        elif is_stable(game, Matching._trusted(tuple(pi[1:-1])), concept):
             count += 1
             if found is None:
                 found = tuple(pi[1:-1])
             if stop_after is not None and count >= stop_after:
                 break
-        elif deviation:
-            raise InternalCheckError("rule (e) kept a leaf with an open move")
+        elif concept not in (Concept.CORE, Concept.STRICT_CORE):
+            raise InternalCheckError(f"the search kept a leaf that is not {concept.name}-stable")
         # Undo frame i's latest branch, the only undo (after the visit opened
         # frame i, j == 0 and the writes change nothing), and take its next
         # branch: a partner, then alone.  A frame whose alone branch, the
@@ -647,6 +640,8 @@ def brute_force(
         raise PreconditionError(
             f"game has {game.n} players, above the brute-force cap {cap}"
         )
+    if stop_after is not None and stop_after < 1:
+        raise PreconditionError(f"stop_after must be at least 1, got {stop_after}")
     if concept is Concept.IR and stop_after is None:
         # Every leaf is IR-stable: the first is the existence search's, and
         # the count is that of the rule-(b) graph's matchings.
@@ -680,18 +675,9 @@ def run_dynamics(
         raise ValueError("max_steps must be non-negative")
     partner = list(initial.as_tuple())
     code = 0  # the hash of the current matching, XOR that of ``initial``
-    seen = {code}
+    seen: set[int] = set()
     witnesses: list[DeviationWitness] = []
     for mover, old, target in _moves(game, concept, partner):
-        # The players the move changed, with their partners before it.
-        before = {target: target, old: mover, mover: old}
-        if len(witnesses) >= max_steps:
-            for player, mate in before.items():
-                partner[player - 1] = mate
-            return DynamicsTrace(tuple(witnesses), "step-limit", Matching._trusted(tuple(partner)))
-        witnesses.append(DeviationWitness(mover, None if target == mover else target, concept))
-        for player, mate in before.items():
-            code ^= _zobrist(player, mate) ^ _zobrist(player, partner[player - 1])
         if code in seen:
             now, replay = Matching._trusted(tuple(partner)), initial
             for t, witness in enumerate(witnesses):
@@ -699,4 +685,10 @@ def run_dynamics(
                     return DynamicsTrace(tuple(witnesses), "cycle", now, t)
                 replay = replay.with_move(witness.mover, witness.target)
         seen.add(code)
+        if len(witnesses) >= max_steps:
+            return DynamicsTrace(tuple(witnesses), "step-limit", Matching._trusted(tuple(partner)))
+        witnesses.append(DeviationWitness(mover, None if target == mover else target, concept))
+        # The players the move changes, with their partners after it.
+        for player, mate in {old: old, target: mover, mover: target}.items():
+            code ^= _zobrist(player, partner[player - 1]) ^ _zobrist(player, mate)
     return DynamicsTrace(tuple(witnesses), "stable", Matching._trusted(tuple(partner)))

@@ -32,6 +32,7 @@ from stablepairs import (
     compute_cns,
     find_deviation,
     find_pair_block,
+    max_matching,
     mmm_to_marriage_ns,
     mmm_to_roommate_is,
     parse_instance,
@@ -152,6 +153,20 @@ def test_matching_is_a_frozen_record():
     # Unpickling rebuilds through the validating constructor.
     with pytest.raises(ValueError, match="not an involution at player 1"):
         pickle.loads(pickle.dumps(Matching._trusted((2, 2))))
+
+
+def test_records_built_from_a_list_or_a_set_keep_their_own_copy():
+    game, _ = RECORDS[Game]
+    profile = list(game.profile)
+    built = Game(game.n, profile, game.kind, game.num_men)
+    profile.append(PreferenceList(game.n + 1))
+    assert built == game and hash(built) == hash(game) and len(built.profile) == built.n
+    assert pickle.loads(pickle.dumps(built)) == game
+    edges = {(1, 2)}
+    graph = Graph(3, edges)
+    edges.add((0, 9))
+    assert graph == Graph.build(3, [(1, 2)]) and hash(graph) == hash(Graph.build(3, [(1, 2)]))
+    assert max_matching(graph) == {(1, 2)}
 
 
 def test_reprs_rebuild_the_record():

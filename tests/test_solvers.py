@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 import re
-from itertools import repeat
+from itertools import islice, repeat
 from math import comb, factorial
 
 import pytest
@@ -500,6 +500,14 @@ def test_brute_force_stop_after_and_cap():
         brute_force(random_roommate(0, max_n=8), Concept.NS, cap=4)
 
 
+def test_brute_force_rejects_a_stop_after_below_one():
+    game = parse_instance("roommate 2\n1: 2\n2: 1\n")
+    for stop_after in (0, -3):
+        message = f"^stop_after must be at least 1, got {stop_after}$"
+        with pytest.raises(PreconditionError, match=message):
+            brute_force(game, Concept.NS, stop_after=stop_after)
+
+
 def test_search_stable_budget_statuses():
     cyclic = parse_instance(CYCLIC3)
     assert search_status(cyclic, Concept.IS) == ("none", None)
@@ -682,6 +690,28 @@ def test_an_open_move_at_a_kept_leaf_is_an_internal_error(monkeypatch):
         _run_search(parse_instance(CYCLIC3), Concept.IS)
 
 
+def test_an_unacceptable_pair_at_an_ir_leaf_is_an_internal_error(monkeypatch, tmp_path, capsys):
+    # Player 1 does not list 2, so rule (b) drops the pair.  Kept anyway, it
+    # must fail the leaf check, in count mode too, not pass as IR-stable.
+    tables = solvers._search_tables
+
+    def careless(game, concept):
+        branches, alone = tables(game, concept)
+        branches[1].insert(0, (2, 0))
+        return branches, alone
+
+    monkeypatch.setattr(solvers, "_search_tables", careless)
+    text = "roommate 3\n1: 3\n2: 1 3\n3: 1 2\n"
+    message = "the search kept a leaf that is not IR-stable"
+    for stop_after in (None, 1):
+        with pytest.raises(InternalCheckError, match=f"^{message}$"):
+            brute_force(parse_instance(text), Concept.IR, stop_after=stop_after)
+    path = tmp_path / "game.txt"
+    path.write_text(text, encoding="utf-8")
+    assert cli.main(["brute", "--concept", "ir", str(path)]) == cli.EXIT_INTERNAL
+    assert capsys.readouterr() == ("", f"error: internal: InternalCheckError: {message}\n")
+
+
 def _bits(moves: tuple[int, ...]) -> int:
     mask = 0
     for t in moves:
@@ -861,7 +891,7 @@ def test_incremental_dynamics_match_full_scan():
     # Random starts on seeded games; the reference rescans every player after
     # every move.  Moves in which a paired mover goes alone leave two players
     # single, and the corpus must keep plenty of them.  A limit of 0-4 steps
-    # ends most runs early, after the engine has applied the move past it.
+    # ends most runs early, once the engine has handed over the move past it.
     paired_alone = limited = 0
     for seed, game, start in dynamics_corpus():
         for concept in DYNAMICS_CONCEPTS:
@@ -882,6 +912,29 @@ def test_incremental_dynamics_match_full_scan():
             assert report.matching == expected.final, (seed, concept)
             assert report.deviation_count == len(expected.steps)
     assert paired_alone >= 500 and limited >= 1000
+
+
+def test_each_move_is_handed_over_before_it_is_applied():
+    # A move is yielded while ``partner`` still holds the matching it starts
+    # from, where it is the scheduler's move, and is applied on resuming: an
+    # exhausted run from singletons leaves the solver's matching.
+    handed = 0
+    for seed, game, start in dynamics_corpus():
+        singletons = Matching.singletons(game.n)
+        runs = [(concept, start, 20) for concept in DYNAMICS_CONCEPTS]
+        runs += [(Concept.CNS, singletons, None), (Concept.CIS, singletons, None)]
+        for concept, initial, limit in runs:
+            partner = list(initial.as_tuple())
+            for mover, old, target in islice(solvers._moves(game, concept, partner), limit):
+                assert partner[mover - 1] == old, (seed, concept)
+                assert target == mover or partner[target - 1] == target, (seed, concept)
+                witness = DeviationWitness(mover, None if target == mover else target, concept)
+                assert find_deviation(game, Matching(partner), concept) == witness, (seed, concept)
+                handed += 1
+            if limit is None:
+                solve = compute_cns if concept is Concept.CNS else compute_cis_ir
+                assert Matching(partner) == solve(game).matching, (seed, concept)
+    assert handed >= 20_000
 
 
 def test_dynamics_hash_collisions_are_confirmed(monkeypatch):
