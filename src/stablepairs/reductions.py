@@ -27,6 +27,8 @@ only an outside partner can break.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Mapping
+from types import MappingProxyType
 
 from ._frozen import Frozen
 from .errors import PreconditionError
@@ -52,19 +54,27 @@ class ReductionArtifact(Frozen):
     """A constructed game plus the metadata needed to validate it.
 
     ``roles`` maps each player to its :class:`PlayerRole` and is left out of
-    equality and hashing; ``graph`` is the padded subdivision the game
-    encodes, ``n`` its balanced side size and ``r`` its padding gadget count.
+    equality and hashing.  It is stored as a read-only view of a private
+    copy; a read-only view is stored as given, so artifacts can share one.
+    ``graph`` is the padded subdivision the game encodes, ``n`` its balanced
+    side size and ``r`` its padding gadget count.
     """
 
     __slots__ = ("game", "roles", "graph", "n", "k", "r")
 
     def __init__(
-        self, game: Game, roles: dict[int, PlayerRole], graph: Graph, n: int, k: int, r: int
+        self, game: Game, roles: Mapping[int, PlayerRole], graph: Graph, n: int, k: int, r: int
     ) -> None:
+        if not isinstance(roles, MappingProxyType):
+            roles = MappingProxyType(dict(roles))
         Frozen.__init__(self, game, roles, graph, n, k, r)
 
     def _key(self) -> tuple:
         return (self.game, self.graph, self.n, self.k, self.r)
+
+    def __reduce__(self) -> tuple:
+        # The read-only ``roles`` view does not pickle; rebuild from a copy.
+        return (ReductionArtifact, (self.game, dict(self.roles), self.graph, self.n, self.k, self.r))
 
 
 #: Most list entries, summed over all players, that a constructed game may hold.

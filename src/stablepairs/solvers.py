@@ -71,8 +71,9 @@ stay exact.  This is the lex-leader rule of Crawford, Ginsberg, Luks & Roy,
 "Symmetry-breaking predicates for search problems" (KR 1996), restricted to
 transpositions.
 
-Count mode under NS, IS, CNS and CIS caches counted subtrees by their
-frontier, as #SAT counters cache components (Bacchus, Dalmao & Pitassi,
+The search's count mode under NS, IS, CNS and CIS, which :func:`brute_force`
+runs only past the frontier count's cap (below), caches counted subtrees by
+their frontier, as #SAT counters cache components (Bacchus, Dalmao & Pitassi,
 FOCS 2003; Sang et al., SAT 2004).  Where frame ``k``, the lowest undecided
 player, would open, the key packs two masks into one int: ``dec``, the
 decided players, which fixes ``k``; and ``single & reach[k] | moves & ~dec``,
@@ -92,6 +93,31 @@ few hits.  Nor does IR: its key would be :func:`_count_matchings`' taken-set,
 but the cache counts complete games 2-3 times slower, and from 24 players the
 sets outgrow the cap; on 2 vCPUs under Python 3.11, a complete 24-player count
 that the dynamic program ends in under a second did not end in 5 minutes.
+
+Under NS, IS, CNS and CIS, :func:`brute_force` first counts the stable
+matchings by :func:`_frontier_count`, a forward dynamic program over the
+players whose states are the count cache's keys (Knuth, TAOCP 4A, 7.1.4;
+Kawahara, Inoue, Iwashita & Minato, IEICE Trans. Fundamentals E100-A, 2017).
+It decides the players in an order of its own and keeps two layers, each
+mapping a state to the number of ways to reach it.  A state packs the later
+players already taken, ``moves`` on the undecided players, and ``single``
+on the decided players that a later branch tests; masks are sets of player
+ids, so no order needs the game relabelled.  The proof above carries over
+with "later in the order" for "higher id", so equal states have equal
+counts below them.  The count does not depend on the order: every order
+counts the matchings of the rule-(b) graph in which no pair's or single's
+mask holds a single player or going alone, which are the stable ones.  The
+order is greedy (:func:`_frontier_order`): link the members of each rule-(b)
+pair, and each of them to every player in the pair's mask, and each player
+to every player in its own single mask; then place the player that adds the
+fewest players to the frontier.  The hardness gadgets number their sides
+and fillers in blocks, so in id order the frontier holds most of the game.
+Past :func:`_frontier_cap` states in a layer the count gives up, and
+``brute_force`` runs the search as before.  A count of 0 answers NO without
+a search; otherwise the existence search finds the first matching, and a
+search that finds none is an :class:`InternalCheckError`.  IR keeps
+:func:`_count_matchings`, this program's mask-free case, which runs about
+twice as fast.
 """
 
 from __future__ import annotations
@@ -624,6 +650,153 @@ def _count_matchings(branches: list[list[tuple[int, int]]]) -> int:
     return ways[0]
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """The set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _frontier_order(n: int, pairs: list[tuple[int, int, int]], alone: list[int]) -> list[int]:
+    """Players ``1..n`` in greedy low-frontier order.
+
+    Players are linked when they form one of ``pairs`` ``(i, j, mask)``,
+    and each is linked to every player in ``mask`` and in its own ``alone``
+    mask.  A player joins the frontier when it or a player it is linked to
+    is placed.  Each step places the unplaced player that adds the fewest
+    players to the frontier, ties by lowest id.  A score only falls, once
+    per linked player that joins, so this takes O(n + E) steps for ``E``
+    links, each a few operations on an ``n``-bit int.
+    """
+    links: list[set[int]] = [set() for _ in range(n + 1)]
+    for i, j, mask in pairs:
+        links[i].add(j)
+        links[j].add(i)
+        for t in _bits(mask):
+            links[t].update((i, j))
+            links[i].add(t)
+            links[j].add(t)
+    for i, mask in enumerate(alone):
+        for t in _bits(mask):
+            links[t].add(i)
+            links[i].add(t)
+    # bucket[s] holds the unplaced players of score s as a bitmask, so its
+    # lowest bit is the next player at that score.
+    score = [1 + len(near) for near in links]
+    bucket = [0] * (max(score) + 1)
+    for v in range(1, n + 1):
+        bucket[score[v]] |= 1 << v
+    # Bit 0 of a mask, going alone, is no player: it counts as placed.
+    placed = [True] + [False] * n
+    joined = [True] + [False] * n
+    order = []
+    lo = 0
+    for _ in range(n):
+        while not bucket[lo]:
+            lo += 1
+        low = bucket[lo] & -bucket[lo]
+        bucket[lo] ^= low
+        v = low.bit_length() - 1
+        placed[v] = True
+        order.append(v)
+        for u in (v, *links[v]):
+            if joined[u]:
+                continue
+            joined[u] = True
+            # u no longer adds itself to its own score or its neighbours'.
+            for w in (u, *links[u]):
+                if not placed[w]:
+                    bit = 1 << w
+                    bucket[score[w]] ^= bit
+                    score[w] -= 1
+                    bucket[score[w]] |= bit
+                    lo = min(lo, score[w])
+    return order
+
+
+def _frontier_cap(n: int) -> int:
+    """Most states one layer of the frontier count of an ``n``-player game holds.
+
+    The ``n`` layers together then hold at most 2**22 states, so a count
+    that outgrows its cap wastes bounded work.  Up to 100 players a layer
+    holds 41,943 states: more than the 40,096 in the widest layer of any
+    IS gadget built on a graph of at most three edges, and on 19 players
+    the two layers held at once then take about 5 MiB.
+    """
+    return 2**22 // max(n, 100)
+
+
+def _frontier_count(game: Game, concept: Concept, cap: int) -> int | None:
+    """The number of stable matchings under NS, IS, CNS or CIS, or None when
+    a layer would hold more than ``cap`` states.
+
+    A forward dynamic program over the players, taken in
+    :func:`_frontier_order`; see the module docstring.
+    """
+    n = game.n
+    branches, alone = _search_tables(game, concept)
+    pairs = [(i, j, mask) for i, row in enumerate(branches) for j, mask in row]
+    order = _frontier_order(n, pairs, alone)
+    # A pair is decided by whichever member comes first.
+    pos = [0] * (n + 1)
+    for t, p in enumerate(order):
+        pos[p] = t
+    rows: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
+    for i, j, mask in pairs:
+        if pos[i] < pos[j]:
+            rows[i].append((j, mask))
+        else:
+            rows[j].append((i, mask))
+    # reach[t]: every player a branch at position t or later tests as single.
+    reach = [0] * (n + 1)
+    for t in range(n - 1, -1, -1):
+        p = order[t]
+        reach[t] = reach[t + 1] | alone[p]
+        for _, mask in rows[p]:
+            reach[t] |= mask
+    # A state packs ``taken | single & reach`` below bit n + 1 and ``moves``
+    # above it.  ``taken`` and ``moves`` lie within ``later``, the players
+    # after the current one, and ``single`` outside it; as in the search,
+    # ``single`` always holds bit 0, going alone.
+    shift = n + 1
+    low_mask = (1 << shift) - 1
+    later = low_mask ^ 1
+    ways = {1: 1}
+    for t, p in enumerate(order):
+        bit = 1 << p
+        done = low_mask ^ later
+        later ^= bit
+        keep = later | reach[t + 1] | 1
+        passed = keep | low_mask << shift  # a taken player's step keeps ``moves``
+        # A branch to q is blocked by q's bit, taken, or a single it tests.
+        options = [(1 << q, 1 << q | mask & done, mask & later) for q, mask in rows[p]]
+        solo = alone[p]
+        solo_tested = solo & done
+        after: dict[int, int] = {}
+        get = after.get
+        for key, w in ways.items():
+            low = key & low_mask
+            if low & bit:  # taken by an earlier player
+                key = (key ^ bit) & passed
+                after[key] = get(key, 0) + w
+                continue
+            moves = key >> shift
+            if not (moves & bit or low & solo_tested):
+                key = (low | bit) & keep | ((moves | solo) & later & ~low) << shift
+                after[key] = get(key, 0) + w
+            moves &= later
+            for mate, blocked, ahead in options:
+                if not low & blocked:
+                    low2 = low | mate
+                    key = low2 & keep | ((moves | ahead) & ~low2) << shift
+                    after[key] = get(key, 0) + w
+            if len(after) > cap:
+                return None
+        ways = after
+    return ways.get(1, 0)
+
+
 def brute_force(
     game: Game,
     concept: Concept,
@@ -634,7 +807,9 @@ def brute_force(
 
     With ``stop_after`` the search stops once that many stable matchings have
     been seen, so the returned count is ``min(true count, stop_after)``.
-    Refuses games with more than ``cap`` players.
+    Refuses games with more than ``cap`` players.  Under NS, IS, CNS and CIS
+    the count comes from :func:`_frontier_count` when it fits its cap; the
+    search then runs only to find the first matching.
     """
     if game.n > cap:
         raise PreconditionError(
@@ -647,6 +822,18 @@ def brute_force(
         # the count is that of the rule-(b) graph's matchings.
         found, _, _ = _run_search(game, concept, stop_after=1)
         return found, _count_matchings(_search_tables(game, concept)[0])
+    if concept in DEVIATION_CONCEPTS:
+        count = _frontier_count(game, concept, _frontier_cap(game.n))
+        if count == 0:
+            return None, 0
+        if count is not None:
+            found, _, _ = _run_search(game, concept, stop_after=1)
+            if found is None:
+                raise InternalCheckError(
+                    f"the frontier count is {count} but the search finds no"
+                    f" {concept.name}-stable matching"
+                )
+            return found, count if stop_after is None else min(count, stop_after)
     found, count, _ = _run_search(game, concept, stop_after=stop_after)
     return found, count
 

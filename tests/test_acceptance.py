@@ -243,26 +243,38 @@ def test_marriage_ns_reduction_decides_every_small_cell():
     assert not undecided and not mismatches, (undecided, mismatches)
 
 
-def test_criterion_08_roommate_is_reduction_soundness():
-    mismatches = []
+def _decide_every_cell(construction, concept: Concept) -> tuple[int, list]:
+    """Decide every small-graph cell of ``construction`` through ``brute_force``.
+
+    Returns the number of cells and those whose answer disagrees with
+    ``minimum_maximal_matching`` or whose witness is not stable."""
     cells = 0
+    mismatches = []
     for name, graph in SMALL_GRAPHS.items():
-        base = mmm_to_roommate_is(graph, 0)
+        base = construction(graph, 0)
         bound = minimum_maximal_matching(base.graph)
         for k in range(0, base.n + 1):
-            artifact = mmm_to_roommate_is(graph, k)
-            if artifact.game.n > 12:
-                continue
             cells += 1
-            status, found = search_status(artifact.game, Concept.IS)
-            if (status == "found") != (bound <= k):
+            game = construction(graph, k).game
+            found, _ = brute_force(game, concept, cap=game.n, stop_after=1)
+            if (found is not None) != (bound <= k):
                 mismatches.append((name, k))
-            if found is not None and find_deviation(artifact.game, found, Concept.IS):
+            if found is not None and find_deviation(game, found, concept):
                 mismatches.append((name, k, "bad witness"))
+    return cells, mismatches
+
+
+def test_marriage_ns_cells_through_brute_force():
+    cells, mismatches = _decide_every_cell(mmm_to_marriage_ns, Concept.NS)
+    assert cells == 51 and not mismatches, mismatches
+
+
+def test_criterion_08_roommate_is_reduction_soundness():
+    cells, mismatches = _decide_every_cell(mmm_to_roommate_is, Concept.IS)
     _report(
         8,
-        "roommate-IS reduction sound up to 12 players",
-        not mismatches and cells >= 12,
+        "roommate-IS reduction sound on all small graphs",
+        not mismatches and cells == 51,
         f"{cells} cells",
     )
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 import time
 
@@ -11,6 +13,7 @@ from stablepairs import (
     Concept,
     Graph,
     PreconditionError,
+    ReductionArtifact,
     minimum_maximal_matching,
     mmm_to_marriage_ns,
     mmm_to_roommate_is,
@@ -166,3 +169,24 @@ def test_empty_graph_reductions():
     assert roommate.game.n == 0
     status, _ = search_status(roommate.game, Concept.IS)
     assert status == "found"
+
+
+def test_roles_cannot_be_changed_after_construction():
+    artifact = mmm_to_roommate_is(SINGLE_EDGE, 0)
+    roles = dict(artifact.roles)
+    assert len(roles) == artifact.game.n
+    with pytest.raises(AttributeError):
+        artifact.roles.clear()
+    with pytest.raises(TypeError):
+        artifact.roles[1] = roles[2]
+    with pytest.raises(TypeError):
+        del artifact.roles[1]
+    # The artifact keeps a copy of the caller's dict.
+    given = dict(roles)
+    built = ReductionArtifact(artifact.game, given, artifact.graph, artifact.n, 0, artifact.r)
+    given.clear()
+    assert built.roles == roles
+    for clone in (pickle.loads(pickle.dumps(built)), copy.copy(built), copy.deepcopy(built)):
+        assert clone == built and clone.roles == roles
+        with pytest.raises(AttributeError):
+            clone.roles.clear()

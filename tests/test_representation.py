@@ -36,7 +36,7 @@ from stablepairs import (
     random_game,
     serialize_instance,
 )
-from stablepairs.solvers import _count_cache_cap, _run_search
+from stablepairs.solvers import _count_cache_cap, _frontier_cap, _frontier_count, _run_search
 from support import (
     SMALL_GRAPHS,
     definitional_accepts,
@@ -198,22 +198,27 @@ def peak_rss_probe(probe: str) -> list[str]:
 
 
 def test_count_cache_memory_is_capped():
-    # This CNS count fills the cache's cap of 65,536 keys of 40 bits after
-    # 232,230 of its 1,368,470 nodes, and past the cap only looks keys up.
-    # Uncapped, the cache would store 165,343 keys and the peak would grow
-    # by about 10 MiB; capped, it grows by about 5 MiB.  Under tracemalloc
+    # The frontier count of this CNS game gives up in its sixth layer, past
+    # 41,943 states (its widest layer would hold 75,037 and grow the peak by
+    # about 12 MiB), so brute_force hands the count to the search.  That
+    # count fills the cache's cap of 65,536 keys of 40 bits after 232,230 of
+    # its 1,368,470 nodes, and past the cap only looks keys up.  Uncapped,
+    # the cache would store 165,343 keys and the peak would grow by about
+    # 10 MiB; capped, the two grow it by about 6 MiB.  Under tracemalloc
     # the count runs about 40 times slower, so its peak is read as the
     # growth of a fresh interpreter's peak RSS.
-    count, exhausted, grown = peak_rss_probe(
-        "from stablepairs import Concept, GenParams, random_game\n"
-        "from stablepairs.solvers import _run_search\n"
+    assert _frontier_cap(19) == 41_943
+    count, gave_up, grown = peak_rss_probe(
+        "from stablepairs import Concept, GenParams, brute_force, random_game\n"
+        "from stablepairs.solvers import _frontier_cap, _frontier_count\n"
         "game = random_game(GenParams(kind='roommate', n=19, tie_probability=0.3,"
         " acceptability_probability=0.4, seed=2))\n"
         "before = peak()\n"
-        "_, count, exhausted = _run_search(game, Concept.CNS)\n"
-        "print(count, exhausted, peak() - before)\n"
+        "_, count = brute_force(game, Concept.CNS, cap=game.n)\n"
+        "grown = peak() - before\n"
+        "print(count, _frontier_count(game, Concept.CNS, _frontier_cap(game.n)) is None, grown)\n"
     )
-    assert (count, exhausted) == ("984623", "True")
+    assert (count, gave_up) == ("984623", "True")
     assert int(grown) < 8 * 2**20
     # On the sparse game a key has 6,002 bits, and the cap is 1,863 keys.
     game = sparse_3000()
@@ -226,6 +231,23 @@ def test_count_cache_memory_is_capped():
         tracemalloc.stop()
     assert not exhausted
     assert peak < 10 * 2**20
+
+
+def test_frontier_layer_widths_are_pinned():
+    # The widest layer under the greedy order is the smallest cap under
+    # which the count finishes.  The games are the benchmark's ns-3K2-k5,
+    # is-K13-k3 and the roommate game it counts under CIS.
+    counted = random_game(GenParams(
+        kind="roommate", n=13, tie_probability=0.3, acceptability_probability=0.6, seed=21
+    ))
+    cases = [
+        (mmm_to_marriage_ns(SMALL_GRAPHS["3K2"], 5).game, Concept.NS, 0, 251),
+        (mmm_to_roommate_is(SMALL_GRAPHS["K13"], 3).game, Concept.IS, 0, 79),
+        (counted, Concept.CIS, 30_641, 2_284),
+    ]
+    for game, concept, count, widest in cases:
+        assert _frontier_count(game, concept, widest) == count
+        assert _frontier_count(game, concept, widest - 1) is None
 
 
 CHAIN_AND_CYCLE = r"""

@@ -37,7 +37,12 @@ from stablepairs import (
 )
 from stablepairs import Graph, cli, max_matching, solvers
 from stablepairs.model import GenParams
-from stablepairs.solvers import _earlier_twins, _run_search, _search_tables
+from stablepairs.solvers import (
+    _earlier_twins,
+    _frontier_count,
+    _run_search,
+    _search_tables,
+)
 from stablepairs.stability import _move_targets
 from support import (
     CYCLIC3,
@@ -615,6 +620,61 @@ def test_count_cache_agrees_with_the_naive_oracle():
     assert fired >= 50
 
 
+def test_frontier_count_agrees_with_the_naive_oracle(monkeypatch):
+    # brute_force takes its count, and its NO, from the frontier count.  A
+    # cap of 3 states per layer sends the wider games to the search instead,
+    # which must give the same answers.
+    rng = random.Random(29)
+    games = [random_listed_game(rng) for _ in range(60)]
+    games += [random_roommate(seed, max_n=9) for seed in range(12)]
+    games += [random_marriage(seed, max_side=4) for seed in range(12)]
+    capped = 0
+    for index, game in enumerate(games):
+        matchings = list(enumerate_matchings(game.n))
+        for concept in (Concept.NS, Concept.IS, Concept.CNS, Concept.CIS):
+            first, total = naive_stable_count(game, concept, matchings)
+            assert _frontier_count(game, concept, solvers._frontier_cap(game.n)) == total
+            assert brute_force(game, concept) == (first, total), (index, concept)
+            assert brute_force(game, concept, stop_after=1) == (first, min(total, 1))
+            capped += _frontier_count(game, concept, 3) is None
+            with monkeypatch.context() as patch:
+                patch.setattr(solvers, "_frontier_cap", lambda n: 3)
+                assert brute_force(game, concept) == (first, total), (index, concept)
+                assert brute_force(game, concept, stop_after=2) == (first, min(total, 2))
+    assert capped >= 80
+
+
+def test_frontier_count_does_not_depend_on_the_order():
+    # Past the naive oracle's sizes: a relabelled copy changes the greedy
+    # order's tie-breaks and so its layers, but not the count.  The search
+    # counts the smaller games too.
+    rng = random.Random(31)
+    compared = 0
+    for seed in range(16):
+        n = 13 + seed % 8
+        if seed % 2:
+            params = GenParams(kind="roommate", n=n, tie_probability=rng.random(),
+                               acceptability_probability=rng.uniform(0.1, 0.25), seed=seed)
+        else:
+            params = GenParams(kind="marriage", n_men=n // 2, n_women=n - n // 2,
+                               tie_probability=rng.random(),
+                               acceptability_probability=rng.uniform(0.15, 0.35), seed=seed)
+        game = random_game(params)
+        sides = [game.men, game.women] if game.is_marriage else [game.players()]
+        order = [old for side in sides for old in rng.sample(side, len(side))]
+        new_id = [0] * (game.n + 1)
+        for new, old in enumerate(order, 1):
+            new_id[old] = new
+        other = relabelled(game, new_id)
+        for concept in (Concept.NS, Concept.IS, Concept.CNS, Concept.CIS):
+            count = _frontier_count(game, concept, 10**6)
+            assert _frontier_count(other, concept, 10**6) == count, (seed, concept)
+            if n <= 16:
+                assert _run_search(game, concept)[1] == count, (seed, concept)
+            compared += 1
+    assert compared == 64
+
+
 def test_relabelling_keeps_counts_and_existence():
     # A relabelling maps stable matchings one to one onto stable matchings,
     # but rules (d) and (e) and the count cache all read the id order.  So
@@ -688,6 +748,22 @@ def test_an_open_move_at_a_kept_leaf_is_an_internal_error(monkeypatch):
     monkeypatch.setattr(solvers, "_search_tables", blind)
     with pytest.raises(InternalCheckError):
         _run_search(parse_instance(CYCLIC3), Concept.IS)
+
+
+def test_a_count_the_search_does_not_confirm_is_an_internal_error(monkeypatch, tmp_path, capsys):
+    # CYCLIC3 has no IS-stable matching.  A frontier count that claims one
+    # must not pass: the search finds none, so brute_force raises, and the
+    # CLI exits 5 and prints no answer.
+    monkeypatch.setattr(solvers, "_frontier_count", lambda game, concept, cap: 1)
+    message = "the frontier count is 1 but the search finds no IS-stable matching"
+    for stop_after in (None, 1):
+        with pytest.raises(InternalCheckError, match=f"^{message}$"):
+            brute_force(parse_instance(CYCLIC3), Concept.IS, stop_after=stop_after)
+    path = tmp_path / "cyclic3.txt"
+    path.write_text(CYCLIC3, encoding="utf-8")
+    for command in (["exists", "--method", "brute"], ["brute"], ["brute", "--count"]):
+        assert cli.main([*command, "--concept", "is", str(path)]) == cli.EXIT_INTERNAL
+        assert capsys.readouterr() == ("", f"error: internal: InternalCheckError: {message}\n")
 
 
 def test_an_unacceptable_pair_at_an_ir_leaf_is_an_internal_error(monkeypatch, tmp_path, capsys):
