@@ -71,50 +71,40 @@ stay exact.  This is the lex-leader rule of Crawford, Ginsberg, Luks & Roy,
 "Symmetry-breaking predicates for search problems" (KR 1996), restricted to
 transpositions.
 
-The search's count mode under NS, IS, CNS and CIS, which :func:`brute_force`
-runs only past the frontier count's cap (below), caches counted subtrees by
-their frontier, as #SAT counters cache components (Bacchus, Dalmao & Pitassi,
-FOCS 2003; Sang et al., SAT 2004).  Where frame ``k``, the lowest undecided
-player, would open, the key packs two masks into one int: ``dec``, the
-decided players, which fixes ``k``; and ``single & reach[k] | moves & ~dec``,
-where ``reach[k]`` holds every target of a branch of a player ``>= k``.
-``single`` (bit 0 too) lies within ``dec`` and ``moves & ~dec`` outside it,
-so given ``dec`` the union splits back into its two parts in one way only.
-Nothing else is read below the node: decided players keep their partners, a
-decided single's bit of ``moves`` is clear, rule (e) tests a branch only
-against ``single`` over its targets and the undecided player's own bit of
-``moves``, rule (d) is off, and every leaf reached is stable.
-So equal keys have equal stable counts.  A frame that runs out of branches
-stores its count; a hit adds it and counts as one node, and the first
-matching is unchanged, since a hit repeats a subtree searched earlier.
-Past :func:`_count_cache_cap` keys the cache only looks keys up, so counts
-stay exact.  Existence mode does not cache, as it would hold more memory for
-few hits.  Nor does IR: its key would be :func:`_count_matchings`' taken-set,
-but the cache counts complete games 2-3 times slower, and from 24 players the
-sets outgrow the cap; on 2 vCPUs under Python 3.11, a complete 24-player count
-that the dynamic program ends in under a second did not end in 5 minutes.
-
 Under NS, IS, CNS and CIS, :func:`brute_force` first counts the stable
 matchings by :func:`_frontier_count`, a forward dynamic program over the
-players whose states are the count cache's keys (Knuth, TAOCP 4A, 7.1.4;
-Kawahara, Inoue, Iwashita & Minato, IEICE Trans. Fundamentals E100-A, 2017).
-It decides the players in an order of its own and keeps two layers, each
-mapping a state to the number of ways to reach it.  A state packs the later
-players already taken, ``moves`` on the undecided players, and ``single``
-on the decided players that a later branch tests; masks are sets of player
-ids, so no order needs the game relabelled.  The proof above carries over
-with "later in the order" for "higher id", so equal states have equal
-counts below them.  The count does not depend on the order: every order
-counts the matchings of the rule-(b) graph in which no pair's or single's
-mask holds a single player or going alone, which are the stable ones.  The
-order is greedy (:func:`_frontier_order`): link the members of each rule-(b)
-pair, and each of them to every player in the pair's mask, and each player
-to every player in its own single mask; then place the player that adds the
-fewest players to the frontier.  The hardness gadgets number their sides
-and fillers in blocks, so in id order the frontier holds most of the game.
-Past :func:`_frontier_cap` states in a layer the count gives up, and
-``brute_force`` runs the search as before.  A count of 0 answers NO without
-a search; otherwise the existence search finds the first matching, and a
+players (Knuth, TAOCP 4A, 7.1.4; Kawahara, Inoue, Iwashita & Minato, IEICE
+Trans. Fundamentals E100-A, 2017).  It decides the players in an order of its
+own and keeps layers, each mapping a state to the number of ways to reach it.
+A state packs the later players already taken, ``moves`` on the undecided
+players, and ``single`` on the decided players that a later branch tests;
+masks are sets of player ids, so no order needs the game relabelled.  Nothing
+else is read below a state: decided players keep their partners, a decided
+single's bit of ``moves`` is clear, and rule (e) tests a branch only against
+``single`` over its targets and the deciding player's own bit of ``moves``.
+So equal states have equal counts below them.  The count does not depend on
+the order: every order counts the matchings of the rule-(b) graph in which no
+pair's or single's mask holds a single player or going alone, which are the
+stable ones.  The order is greedy (:func:`_frontier_order`): link the members
+of each rule-(b) pair, and each of them to every player in the pair's mask,
+and each player to every player in its own single mask; then place the
+player that adds the fewest players to the frontier.  The hardness gadgets
+number their sides and fillers in blocks, so in id order the frontier holds
+most of the game.
+
+The program is linear in its starting states: the count from a layer is the
+sum of the counts from the parts of any split of it.  So in count mode, once
+the layer being written runs out of room, the unread rest of the layer being
+read waits on a stack, and the count goes on from the part already built;
+each remainder is later resumed at its own layer and its count added.  The
+layer being read, the layer being written and the waiting remainders hold
+about :func:`_frontier_cap` states together: the room is checked after each
+state that branches, and each step reads at least one state, so the count
+progresses even when one state's successors fill the room.  Existence mode
+instead gives up once a layer passes the cap, and the search, which stops at
+the first stable matching, runs as before; on a wide game a split count
+could run far longer than that search.  A count of 0 answers NO without a
+search; otherwise the existence search finds the first matching, and a
 search that finds none is an :class:`InternalCheckError`.  IR keeps
 :func:`_count_matchings`, this program's mask-free case, which runs about
 twice as fast.
@@ -474,12 +464,6 @@ def _earlier_twins(game: Game) -> list[int]:
     return twin
 
 
-def _count_cache_cap(n: int) -> int:
-    """Most entries the count cache of an ``n``-player search stores; keys
-    of ``2(n + 1)`` bits then take at most about 1.4 MiB."""
-    return 2**24 // max(3 * (n + 1), 256)
-
-
 def _run_search(
     game: Game,
     concept: Concept,
@@ -493,8 +477,8 @@ def _run_search(
     first in that order.  Returns ``(first stable matching or None, stable
     count, exhausted)``; ``exhausted`` is False when the search stopped
     early on ``stop_after`` or ``node_budget``.  Every visit to a search
-    position counts as one node, leaves and count-cache hits included, so
-    the budget counts the search as rules (b)-(e) and the cache reduce it.
+    position counts as one node, leaves included, so the budget counts the
+    search as rules (b)-(e) reduce it.
     The recursion over players runs on an explicit stack, so the depth is
     not limited by the interpreter's.
     """
@@ -503,27 +487,12 @@ def _run_search(
     # when i goes alone, and a mask beside each j in branches[i] when i
     # takes j.  Rule (c) is the core case, with masks only for singles.
     branches, alone = _search_tables(game, concept)
-    deviation = concept in DEVIATION_CONCEPTS
     # Rule (d).  The undecided members of a class always form a suffix of
     # it, so j is the lowest one exactly when its earlier twin is decided.
     # Index 0 stands for "no earlier twin" and, like every index up to the
     # branching player, counts as decided.
     # Not under IR: every leaf is stable there, so the first descent ends the search.
     twin = _earlier_twins(game) if stop_after == 1 and concept is not Concept.IR else [0] * (n + 1)
-    # The count cache maps a frontier key to the stable count below it (see
-    # the module docstring).  reach[k] holds every target that a branch of a
-    # player >= k tests against ``single``.  frame[k] holds the mask of the
-    # players decided once frame k opened, its key, and the count on entry.
-    memo = {} if stop_after is None and deviation else None
-    if memo is not None:
-        cap = _count_cache_cap(n)
-        reach = [0] * (n + 2)
-        for q in range(n, 0, -1):
-            reach[q] = reach[q + 1] | alone[q]
-            for _, mask in branches[q]:
-                reach[q] |= mask
-        frame: list = [(1, 0, 0)] * (n + 1)
-
     # ``pi[q]`` is q's partner, q itself while single or undecided.  The
     # decided players are those up to the current frame's player i, which
     # took them in id order, and the later players they took: only frame
@@ -558,20 +527,11 @@ def _run_search(
         k = i + 1
         while pi[k] != k:
             k += 1
-        hit = None
-        if memo is not None and k <= n:
-            dec = frame[i][0] | 1 << j
-            key = (single & reach[k] | moves & ~dec) << n + 1 | dec
-            hit = memo.get(key)
-        if k <= n and hit is None:
+        if k <= n:
             up[k] = i
             base[k] = moves
             rest[k] = iter(branches[k])
-            if memo is not None:
-                frame[k] = (dec | 1 << k, key, count)
             i, j = k, 0
-        elif hit is not None:
-            count += hit
         elif is_stable(game, Matching._trusted(tuple(pi[1:-1])), concept):
             count += 1
             if found is None:
@@ -607,9 +567,6 @@ def _run_search(
                         break
                 if j != i:
                     break
-            if memo is not None and len(memo) < cap:
-                _, key, before = frame[i]
-                memo[key] = count - before
             i = up[i]
             if not i:
                 return (Matching(found) if found is not None else None), count, True
@@ -716,23 +673,28 @@ def _frontier_order(n: int, pairs: list[tuple[int, int, int]], alone: list[int])
 
 
 def _frontier_cap(n: int) -> int:
-    """Most states one layer of the frontier count of an ``n``-player game holds.
+    """The room of the frontier count of an ``n``-player game, in states.
 
-    The ``n`` layers together then hold at most 2**22 states, so a count
-    that outgrows its cap wastes bounded work.  Up to 100 players a layer
-    holds 41,943 states: more than the 40,096 in the widest layer of any
-    IS gadget built on a graph of at most three edges, and on 19 players
-    the two layers held at once then take about 5 MiB.
+    In count mode it is the room for the layers and remainders held at
+    once, checked after each state that branches; on a dense 19-player game
+    they peak at 43,814 states and grow the peak RSS by about 4.4 MiB.  In
+    existence mode it bounds each layer, so the ``n`` layers of a count
+    that gives up held at most 2**22 states.  Up to 100 players the cap is
+    41,943 states: more than the 40,096 in the widest layer of any IS
+    gadget built on a graph of at most three edges, so no existence count
+    of those gives up.
     """
     return 2**22 // max(n, 100)
 
 
-def _frontier_count(game: Game, concept: Concept, cap: int) -> int | None:
-    """The number of stable matchings under NS, IS, CNS or CIS, or None when
-    a layer would hold more than ``cap`` states.
+def _frontier_count(game: Game, concept: Concept, cap: int, split: bool) -> int | None:
+    """The number of stable matchings under NS, IS, CNS or CIS.
 
     A forward dynamic program over the players, taken in
-    :func:`_frontier_order`; see the module docstring.
+    :func:`_frontier_order`; see the module docstring.  In count mode
+    (``split``) the layers, and the remainders waiting, hold about ``cap``
+    states at once.  Otherwise the result is None once a layer would hold
+    more than ``cap`` states.
     """
     n = game.n
     branches, alone = _search_tables(game, concept)
@@ -761,40 +723,58 @@ def _frontier_count(game: Game, concept: Concept, cap: int) -> int | None:
     # ``single`` always holds bit 0, going alone.
     shift = n + 1
     low_mask = (1 << shift) - 1
-    later = low_mask ^ 1
-    ways = {1: 1}
-    for t, p in enumerate(order):
-        bit = 1 << p
-        done = low_mask ^ later
-        later ^= bit
-        keep = later | reach[t + 1] | 1
-        passed = keep | low_mask << shift  # a taken player's step keeps ``moves``
-        # A branch to q is blocked by q's bit, taken, or a single it tests.
-        options = [(1 << q, 1 << q | mask & done, mask & later) for q, mask in rows[p]]
-        solo = alone[p]
-        solo_tested = solo & done
-        after: dict[int, int] = {}
-        get = after.get
-        for key, w in ways.items():
-            low = key & low_mask
-            if low & bit:  # taken by an earlier player
-                key = (key ^ bit) & passed
-                after[key] = get(key, 0) + w
-                continue
-            moves = key >> shift
-            if not (moves & bit or low & solo_tested):
-                key = (low | bit) & keep | ((moves | solo) & later & ~low) << shift
-                after[key] = get(key, 0) + w
-            moves &= later
-            for mate, blocked, ahead in options:
-                if not low & blocked:
-                    low2 = low | mate
-                    key = low2 & keep | ((moves | ahead) & ~low2) << shift
+    # The layers still to count from, each with its position and ``later``:
+    # at first the whole game, then the unread rest of each split layer.
+    waiting = [(0, low_mask ^ 1, {1: 1})]
+    held = 1  # the states waiting
+    total = 0
+    while waiting:
+        start, later, ways = waiting.pop()
+        held -= len(ways)
+        for t in range(start, n):
+            p = order[t]
+            bit = 1 << p
+            done = low_mask ^ later
+            later ^= bit
+            keep = later | reach[t + 1] | 1
+            passed = keep | low_mask << shift  # a taken player's step keeps ``moves``
+            # A branch to q is blocked by q's bit, taken, or a single it tests.
+            options = [(1 << q, 1 << q | mask & done, mask & later) for q, mask in rows[p]]
+            solo = alone[p]
+            solo_tested = solo & done
+            room = cap - held - len(ways) if split else cap
+            after: dict[int, int] = {}
+            get = after.get
+            items = iter(ways.items())
+            for key, w in items:
+                low = key & low_mask
+                if low & bit:  # taken by an earlier player
+                    key = (key ^ bit) & passed
                     after[key] = get(key, 0) + w
-            if len(after) > cap:
-                return None
-        ways = after
-    return ways.get(1, 0)
+                    continue
+                moves = key >> shift
+                if not (moves & bit or low & solo_tested):
+                    key = (low | bit) & keep | ((moves | solo) & later & ~low) << shift
+                    after[key] = get(key, 0) + w
+                moves &= later
+                for mate, blocked, ahead in options:
+                    if not low & blocked:
+                        low2 = low | mate
+                        key = low2 & keep | ((moves | ahead) & ~low2) << shift
+                        after[key] = get(key, 0) + w
+                if len(after) > room:
+                    if not split:
+                        return None
+                    # The count is linear in the layer's states: count from
+                    # the part read now, and from the rest later.
+                    rest = dict(items)
+                    if rest:
+                        waiting.append((t, later | bit, rest))
+                        held += len(rest)
+                    break
+            ways = after
+        total += ways.get(1, 0)
+    return total
 
 
 def brute_force(
@@ -808,8 +788,9 @@ def brute_force(
     With ``stop_after`` the search stops once that many stable matchings have
     been seen, so the returned count is ``min(true count, stop_after)``.
     Refuses games with more than ``cap`` players.  Under NS, IS, CNS and CIS
-    the count comes from :func:`_frontier_count` when it fits its cap; the
-    search then runs only to find the first matching.
+    the count comes from :func:`_frontier_count`, and the search runs only
+    to find the first matching.  With ``stop_after`` a count that passes its
+    cap gives up, and the search runs as under the other concepts.
     """
     if game.n > cap:
         raise PreconditionError(
@@ -823,7 +804,7 @@ def brute_force(
         found, _, _ = _run_search(game, concept, stop_after=1)
         return found, _count_matchings(_search_tables(game, concept)[0])
     if concept in DEVIATION_CONCEPTS:
-        count = _frontier_count(game, concept, _frontier_cap(game.n))
+        count = _frontier_count(game, concept, _frontier_cap(game.n), stop_after is None)
         if count == 0:
             return None, 0
         if count is not None:

@@ -36,7 +36,7 @@ from stablepairs import (
     random_game,
     serialize_instance,
 )
-from stablepairs.solvers import _count_cache_cap, _frontier_cap, _frontier_count, _run_search
+from stablepairs.solvers import _frontier_cap, _frontier_count, _run_search
 from support import (
     SMALL_GRAPHS,
     definitional_accepts,
@@ -141,13 +141,14 @@ def test_sparse_10k_roommate_memory_is_linear():
     assert peak < 25 * 2**20
 
 
+SPARSE_3000 = GenParams(kind="roommate", n=3000, acceptability_probability=0.001, seed=1)
+
+
 @cache
 def sparse_3000() -> Game:
     """3000 players, 8,975 listed entries.  Generating the game draws n^2
     random numbers, so it stays outside the measured windows."""
-    return random_game(
-        GenParams(kind="roommate", n=3000, acceptability_probability=0.001, seed=1)
-    )
+    return random_game(SPARSE_3000)
 
 
 def test_sparse_search_memory_is_linear():
@@ -182,31 +183,34 @@ def peak():
 """
 
 
-def peak_rss_probe(probe: str) -> list[str]:
+def peak_rss_probe(probe: str, timeout: float | None = None) -> list[str]:
     """Run ``probe`` in a fresh interpreter and return the words it prints.
 
     The probe may call ``peak()``, the interpreter's peak resident set in
     bytes (``VmHWM``).  A child's ``ru_maxrss`` starts at its spawner's peak,
     so under a test runner larger than the child it would read no growth.
+    A child still running after ``timeout`` seconds fails the test.
     """
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     out = subprocess.run(
-        [sys.executable, "-c", PEAK + probe], env=env, capture_output=True, text=True
+        [sys.executable, "-c", PEAK + probe],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=timeout,
     )
     assert out.returncode == 0, out.stderr
     return out.stdout.split()
 
 
-def test_count_cache_memory_is_capped():
-    # The frontier count of this CNS game gives up in its sixth layer, past
-    # 41,943 states (its widest layer would hold 75,037 and grow the peak by
-    # about 12 MiB), so brute_force hands the count to the search.  That
-    # count fills the cache's cap of 65,536 keys of 40 bits after 232,230 of
-    # its 1,368,470 nodes, and past the cap only looks keys up.  Uncapped,
-    # the cache would store 165,343 keys and the peak would grow by about
-    # 10 MiB; capped, the two grow it by about 6 MiB.  Under tracemalloc
-    # the count runs about 40 times slower, so its peak is read as the
-    # growth of a fresh interpreter's peak RSS.
+def test_split_count_memory_is_capped():
+    # In existence mode the frontier count of this CNS game gives up in its
+    # sixth layer, past 41,943 states (its widest layer would hold 75,037
+    # and grow the peak by about 12 MiB).  So the count that brute_force
+    # returns is one that split its layers, holding about 41,943 states at
+    # once; that grows the peak by about 4.4 MiB.  Under tracemalloc the
+    # count runs many times slower, so its peak is read as the growth of a
+    # fresh interpreter's peak RSS.
     assert _frontier_cap(19) == 41_943
     count, gave_up, grown = peak_rss_probe(
         "from stablepairs import Concept, GenParams, brute_force, random_game\n"
@@ -216,13 +220,14 @@ def test_count_cache_memory_is_capped():
         "before = peak()\n"
         "_, count = brute_force(game, Concept.CNS, cap=game.n)\n"
         "grown = peak() - before\n"
-        "print(count, _frontier_count(game, Concept.CNS, _frontier_cap(game.n)) is None, grown)\n"
+        "print(count, _frontier_count(game, Concept.CNS, _frontier_cap(game.n), False) is None,"
+        " grown)\n"
     )
     assert (count, gave_up) == ("984623", "True")
     assert int(grown) < 8 * 2**20
-    # On the sparse game a key has 6,002 bits, and the cap is 1,863 keys.
+    # The search's count mode, which core and strict core count by, holds
+    # O(n) state beside its tables.
     game = sparse_3000()
-    assert _count_cache_cap(game.n) == 1_863
     tracemalloc.start()
     try:
         _, _, exhausted = _run_search(game, Concept.CNS, node_budget=5_000)
@@ -231,6 +236,40 @@ def test_count_cache_memory_is_capped():
         tracemalloc.stop()
     assert not exhausted
     assert peak < 10 * 2**20
+
+
+SPARSE_CNS_COUNT = f"""
+import os, threading
+from stablepairs import Concept, GenParams, brute_force, random_game
+game = random_game({SPARSE_3000!r})
+before = peak()
+
+def report():
+    print(peak() - before, flush=True)
+    os._exit(0)
+
+threading.Timer(2, report).start()
+brute_force(game, Concept.CNS, cap=game.n)
+print("ended")
+"""
+
+
+def test_sparse_count_memory_is_bounded():
+    # The CNS count of the sparse game did not end within 30 s: its layers
+    # split again and again.  After 2 s the peak has grown by about 8 MiB,
+    # and at 30 s it had not grown further.  Bounding only each layer, not
+    # the remainders waiting beside it, grew it by over 300 MiB in 2 s.
+    [grown] = peak_rss_probe(SPARSE_CNS_COUNT, timeout=60)
+    assert int(grown) < 16 * 2**20
+    # Existence mode gives up past the cap instead, so the search answers
+    # CIS at once.
+    [count] = peak_rss_probe(
+        "from stablepairs import Concept, GenParams, brute_force, random_game\n"
+        f"game = random_game({SPARSE_3000!r})\n"
+        "print(brute_force(game, Concept.CIS, cap=game.n, stop_after=1)[1])\n",
+        timeout=60,
+    )
+    assert count == "1"
 
 
 def test_frontier_layer_widths_are_pinned():
@@ -246,8 +285,8 @@ def test_frontier_layer_widths_are_pinned():
         (counted, Concept.CIS, 30_641, 2_284),
     ]
     for game, concept, count, widest in cases:
-        assert _frontier_count(game, concept, widest) == count
-        assert _frontier_count(game, concept, widest - 1) is None
+        assert _frontier_count(game, concept, widest, False) == count
+        assert _frontier_count(game, concept, widest - 1, False) is None
 
 
 CHAIN_AND_CYCLE = r"""
@@ -290,8 +329,8 @@ def test_complete_roommate_decision_memory():
 def test_ir_count_memory():
     # The count keeps two layers of taken-player sets, at most 16,384 sets
     # in one layer here (about 2.9 MiB at the peak); the search would visit
-    # about 6.2e11 leaves, one per matching.  The count cache, keyed on the
-    # same taken-sets under IR, peaks at about 6 MiB on this game.
+    # about 6.2e11 leaves, one per matching.  A search cache keyed on the
+    # same taken-sets peaked at about 6 MiB on this game.
     game = random_game(GenParams(kind="roommate", n=22, complete=True, seed=1))
     tracemalloc.start()
     try:

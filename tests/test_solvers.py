@@ -543,9 +543,8 @@ def _nodes_to_decide(game, concept, stop_after):
 
 
 def test_search_node_counts_are_pinned():
-    # Rules (b)-(e) only prune, and the count cache only skips subtrees it
-    # has counted, so weakening either changes no result; it shows only as
-    # more nodes.  Each total covers seeds 0-39.
+    # Rules (b)-(e) only prune, so weakening one changes no result; it shows
+    # only as more nodes.  Each total covers seeds 0-39.
     games = [
         random_roommate(seed, max_n=7) if seed % 2 else random_marriage(seed, max_side=4)
         for seed in range(40)
@@ -559,10 +558,10 @@ def test_search_node_counts_are_pinned():
     }
     assert totals == {
         ("IR", None): 460, ("IR", 1): 156,
-        ("NS", None): 200, ("NS", 1): 171,
-        ("IS", None): 259, ("IS", 1): 162,
-        ("CNS", None): 525, ("CNS", 1): 150,
-        ("CIS", None): 594, ("CIS", 1): 148,
+        ("NS", None): 202, ("NS", 1): 171,
+        ("IS", None): 267, ("IS", 1): 162,
+        ("CNS", None): 582, ("CNS", 1): 150,
+        ("CIS", None): 724, ("CIS", 1): 148,
         ("CORE", None): 359, ("CORE", 1): 198,
         ("STRICT_CORE", None): 324, ("STRICT_CORE", 1): 219,
     }
@@ -587,13 +586,10 @@ def test_forward_checking_agrees_with_the_naive_oracle():
                 ), (index, concept, stop_after)
 
 
-def test_count_cache_agrees_with_the_naive_oracle():
-    # A cache hit adds a subtree's stored count as one node, so a search
-    # decided within fewer nodes than its count, that is, a count above
-    # _nodes_to_decide, shows that the cache fired.  Complete games of odd
-    # size, where one player stays single, make it fire most.  A budgeted
-    # run visits a prefix of the unbudgeted one, so once decided it must
-    # give the same result.
+def test_count_search_agrees_with_the_naive_oracle():
+    # The search's count mode is what core and strict core count by, and the
+    # reference for the frontier count.  A budgeted run visits a prefix of the unbudgeted one, so
+    # once decided it must give the same result.
     rng = random.Random(17)
     games = [random_listed_game(rng) for _ in range(288)]
     games += [
@@ -604,10 +600,8 @@ def test_count_cache_agrees_with_the_naive_oracle():
         random_game(GenParams(kind="roommate", n=9, complete=True, seed=seed))
         for seed in range(52)
     ]
-    fired = 0
     for index, game in enumerate(games):
         matchings = list(enumerate_matchings(game.n))
-        hit = False
         for concept in (Concept.NS, Concept.IS, Concept.CNS, Concept.CIS):
             first, total = naive_stable_count(game, concept, matchings)
             assert _run_search(game, concept) == (first, total, True), (index, concept)
@@ -615,15 +609,14 @@ def test_count_cache_agrees_with_the_naive_oracle():
                 found, count, exhausted = _run_search(game, concept, None, budget)
                 if exhausted:
                     assert (found, count) == (first, total), (index, concept, budget)
-            hit |= exhausted  # within total - 1 nodes
-        fired += hit
-    assert fired >= 50
 
 
 def test_frontier_count_agrees_with_the_naive_oracle(monkeypatch):
-    # brute_force takes its count, and its NO, from the frontier count.  A
-    # cap of 3 states per layer sends the wider games to the search instead,
-    # which must give the same answers.
+    # brute_force takes its count, and its NO, from the frontier count.  In
+    # count mode a small cap splits the layers, and at a cap of 1 a single
+    # state's successors already fill the room.  In existence mode a cap of
+    # 3 states per layer sends the wider games to the search instead.  Each
+    # must give the same answers.
     rng = random.Random(29)
     games = [random_listed_game(rng) for _ in range(60)]
     games += [random_roommate(seed, max_n=9) for seed in range(12)]
@@ -633,10 +626,12 @@ def test_frontier_count_agrees_with_the_naive_oracle(monkeypatch):
         matchings = list(enumerate_matchings(game.n))
         for concept in (Concept.NS, Concept.IS, Concept.CNS, Concept.CIS):
             first, total = naive_stable_count(game, concept, matchings)
-            assert _frontier_count(game, concept, solvers._frontier_cap(game.n)) == total
+            assert _frontier_count(game, concept, solvers._frontier_cap(game.n), True) == total
+            for cap in (1, 2, 7):
+                assert _frontier_count(game, concept, cap, True) == total, (index, concept, cap)
             assert brute_force(game, concept) == (first, total), (index, concept)
             assert brute_force(game, concept, stop_after=1) == (first, min(total, 1))
-            capped += _frontier_count(game, concept, 3) is None
+            capped += _frontier_count(game, concept, 3, False) is None
             with monkeypatch.context() as patch:
                 patch.setattr(solvers, "_frontier_cap", lambda n: 3)
                 assert brute_force(game, concept) == (first, total), (index, concept)
@@ -647,7 +642,7 @@ def test_frontier_count_agrees_with_the_naive_oracle(monkeypatch):
 def test_frontier_count_does_not_depend_on_the_order():
     # Past the naive oracle's sizes: a relabelled copy changes the greedy
     # order's tie-breaks and so its layers, but not the count.  The search
-    # counts the smaller games too.
+    # counts the smaller games too, and so does a count that splits them.
     rng = random.Random(31)
     compared = 0
     for seed in range(16):
@@ -667,20 +662,22 @@ def test_frontier_count_does_not_depend_on_the_order():
             new_id[old] = new
         other = relabelled(game, new_id)
         for concept in (Concept.NS, Concept.IS, Concept.CNS, Concept.CIS):
-            count = _frontier_count(game, concept, 10**6)
-            assert _frontier_count(other, concept, 10**6) == count, (seed, concept)
+            count = _frontier_count(game, concept, 10**6, True)
+            assert _frontier_count(other, concept, 10**6, True) == count, (seed, concept)
             if n <= 16:
                 assert _run_search(game, concept)[1] == count, (seed, concept)
+                assert _frontier_count(game, concept, 50, True) == count, (seed, concept)
             compared += 1
     assert compared == 64
 
 
 def test_relabelling_keeps_counts_and_existence():
     # A relabelling maps stable matchings one to one onto stable matchings,
-    # but rules (d) and (e) and the count cache all read the id order.  So
-    # counts and answers must survive it, and the relabelled game's first
-    # matching, mapped back, must be stable by the definitions.  This oracle
-    # has no size limit; these games reach past naive_stable_count's.
+    # but rules (d) and (e) and the frontier order's tie-breaks read the id
+    # order.  So counts and answers must survive it, and the relabelled
+    # game's first matching, mapped back, must be stable by the definitions.
+    # This oracle has no size limit; these games reach past
+    # naive_stable_count's.
     rng = random.Random(23)
     games = [random_listed_game(rng) for _ in range(200)]
     for seed in range(20):
@@ -754,7 +751,7 @@ def test_a_count_the_search_does_not_confirm_is_an_internal_error(monkeypatch, t
     # CYCLIC3 has no IS-stable matching.  A frontier count that claims one
     # must not pass: the search finds none, so brute_force raises, and the
     # CLI exits 5 and prints no answer.
-    monkeypatch.setattr(solvers, "_frontier_count", lambda game, concept, cap: 1)
+    monkeypatch.setattr(solvers, "_frontier_count", lambda game, concept, cap, split: 1)
     message = "the frontier count is 1 but the search finds no IS-stable matching"
     for stop_after in (None, 1):
         with pytest.raises(InternalCheckError, match=f"^{message}$"):
